@@ -61,6 +61,10 @@ class Unsupported(QringError):
     """No closed-form propagator is available for this boundary matrix."""
 
 
+class WeightOverflow(QringError):
+    """A spectral weight e^{-i E t} lies beyond float range."""
+
+
 class NotSpecialUnitary(QringError):
     """Conjugations must be by special unitary matrices."""
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     Ambiguous,
@@ -29,6 +28,7 @@ from .errors import (
     Inconsistent,
     NoConvergence,
     NoisyTail,
+    QringError,
 )
 from .spectrum import (
     negative_levels,
@@ -383,7 +383,7 @@ def _forward_consistent(t: SpectralTriple, prefix: SpectrumPrefix, n_check: int 
     n_check = min(n_check, len(prefix.positive_k))
     try:
         pred = positive_levels(t, geom, n_check)
-    except Exception:
+    except QringError:
         return False
     data = np.asarray(prefix.positive_k[:n_check])
     pred_k = np.array([lv.wavenumber for lv in pred])
@@ -393,7 +393,7 @@ def _forward_consistent(t: SpectralTriple, prefix: SpectrumPrefix, n_check: int 
         return False
     try:
         pred_neg = negative_levels(t, geom)
-    except Exception:
+    except QringError:
         return False
     if len(pred_neg) != len(prefix.negative_kappa):
         return False
@@ -401,6 +401,14 @@ def _forward_consistent(t: SpectralTriple, prefix: SpectrumPrefix, n_check: int 
         if abs(lv.wavenumber - kappa) * geom.l > 1e-6:
             return False
     return True
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on first use: scipy.optimize
+    dominates the package's import time and only the fit needs it."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 def fit_parameters(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent, SingularCoefficients, TruncationWarning, Unsupported
+from .errors import NonConvergent, SingularCoefficients, TruncationWarning, Unsupported, WeightOverflow
 from .spectrum import eigenfunction, full_spectrum
 from .u2 import CharacteristicMatrix, Geometry, classify, smooth_flux, to_matrix
 
@@ -229,9 +229,15 @@ def spectral_kernel(u: CharacteristicMatrix, geom: Geometry, q: KernelQuery, n_l
     out = np.zeros(np.broadcast(a, b).shape, dtype=complex)
     last_weight = 0.0
     for level in spec:
-        weight = abs(cmath.exp(-1j * level.energy * t))
+        phase = -1j * level.energy * t
+        try:
+            weight = math.exp(phase.real)
+        except OverflowError:
+            raise WeightOverflow(
+                f"the level at E = {level.energy:.6g} has weight e^{phase.real:.4g}, beyond float range"
+            ) from None
         for f in eigenfunction(u, geom, level):
-            out = out + f(b) * np.conj(f(a)) * cmath.exp(-1j * level.energy * t)
+            out = out + f(b) * np.conj(f(a)) * cmath.exp(phase)
         if level.sector == "positive":
             last_weight = weight * 2.0 / geom.l
     if q.is_euclidean and last_weight > q.truncation_tol:

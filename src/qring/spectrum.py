@@ -10,8 +10,8 @@ for E = k^2 > 0; the E = -kappa^2 < 0 condition is the same expression
 continued through k -> -i kappa (trigonometric -> hyperbolic), and the
 E = 0 condition is the common k -> 0 limit.  G depends only on the
 spectral triple (xi, Re alpha, Im beta).  Roots are located by a uniform
-scan (bisection across sign changes, derivative bisection at touching
-roots), and multiplicities are read off the rank of the 2x2 boundary
+scan (safeguarded Newton across sign changes, and on the derivative at
+touching roots), and multiplicities are read off the rank of the 2x2 boundary
 matrix at the root: a doubly degenerate level requires all four entries
 to vanish, which happens only for Im alpha = Re beta = 0, Im beta != 0.
 
@@ -176,6 +176,44 @@ def secular_negative_deriv(triple: SpectralTriple, geom: Geometry, kappa):
     series = lead * np.sinh(x0) + bracket * (geom.l**2 / (2 * geom.l0)) * _xcosh_minus_sinh_over_x2(x0)
     out = np.where(small, series, out)
     return out if out.shape else float(out)
+
+
+def _basis_jets(k, h, hyperbolic: bool):
+    """Rows u, u', u'' of u = (cos kh, sin(kh)/k, k sin kh) and its k-derivatives.
+
+    ``hyperbolic`` takes the continuation k -> -i kappa at k = kappa,
+    u = (cosh kh, sinh(kh)/k, -k sinh kh), with every row times e^{-kh} so
+    that no entry overflows however deep the level.  Shape (3, 3) + k.shape.
+    """
+    k = np.asarray(k, dtype=float)
+    th = k * h
+    if hyperbolic:
+        cs, sn, sg = 0.5 * (1.0 + np.exp(-2.0 * th)), -0.5 * np.expm1(-2.0 * th), 1.0
+    else:
+        cs, sn, sg = np.cos(th), np.sin(th), -1.0
+    s = h * np.divide(sn, th, out=np.ones_like(th), where=th != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # s', s'' are not used at k = 0
+        s1 = (h * cs - s) / k
+        s2 = (sg * h * h * sn - 2.0 * s1) / k
+    k2 = k * k
+    return np.array(
+        [
+            [cs, s, -sg * k2 * s],
+            [sg * h * sn, s1, -sg * (2.0 * k * s + k2 * s1)],
+            [sg * h * h * cs, s2, -sg * (2.0 * s + 4.0 * k * s1 + k2 * s2)],
+        ]
+    )
+
+
+def _secular_deriv2(t: SpectralTriple, geom: Geometry, k, hyperbolic: bool):
+    """d^2/dk^2 of secular_positive, or of secular_negative if ``hyperbolic``.
+
+    Both are bI + w . u on the basis of _basis_jets with h = l.
+    """
+    cos_xi = math.cos(t.xi)
+    w = np.array([math.sin(t.xi), (cos_xi - t.alpha_r) / (2 * geom.l0), (cos_xi + t.alpha_r) * geom.l0 / 2])
+    out = w @ _basis_jets(k, geom.l, hyperbolic)[2]
+    return _exp_clip(np.asarray(k) * geom.l) * out if hyperbolic else out
 
 
 def zero_mode_exists(triple: SpectralTriple, geom: Geometry, tol: float = 1e-10) -> bool:
@@ -344,30 +382,39 @@ class Spectrum:
 # root scanning
 
 
-def _bisect_many(f, lo, hi, xtol, max_iter=80):
-    """Vectorized bisection; each (lo[i], hi[i]) must bracket a sign change."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    flo = np.asarray(f(lo), dtype=float)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = np.asarray(f(mid), dtype=float)
-        go_left = (np.sign(flo) * np.sign(fm)) <= 0
-        hi = np.where(go_left, mid, hi)
-        lo = np.where(go_left, lo, mid)
-        flo = np.where(go_left, flo, fm)
-        if np.all(hi - lo < xtol):
+def _refine(f, df, lo, hi, flo, xtol):
+    """Bracket-safeguarded Newton (rtsafe), vectorized over brackets.
+
+    Each [lo[i], hi[i]] must hold a sign change of f, with flo = f(lo).  A
+    Newton step is taken when it lands inside the current bracket and at
+    most halves the previous step, otherwise the bracket is bisected.  A
+    root is done once its Newton step falls below xtol (or a few ulps), or
+    its bracket closes; a last step that only rounding noise pushed outside
+    the bracket is dropped rather than replaced by a bisection.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    side = np.sign(flo)
+    x = 0.5 * (lo + hi)
+    tol = np.maximum(xtol, 4.0 * np.spacing(np.abs(hi)))
+    last = hi - lo
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(100):  # bisection alone narrows any float bracket to tol within 100 halvings
+        fx = np.asarray(f(x), dtype=float)
+        dfx = np.asarray(df(x), dtype=float)
+        left = np.sign(fx) == side
+        lo = np.where(left, x, lo)
+        hi = np.where(left, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = -fx / dfx
+        ok = (x + newton > lo) & (x + newton < hi) & (np.abs(newton) <= 0.5 * last)
+        small = ~(np.abs(newton) >= tol)  # also fx == dfx == 0
+        step = np.where(ok, newton, np.where(small, 0.0, 0.5 * (lo + hi) - x))
+        x = np.where(done, x, x + step)
+        last = np.abs(step)
+        done |= small | (last < tol)
+        if done.all():
             break
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(f, df, x, lo, hi, iterations=3):
-    """A few clamped Newton steps inside the bracketing interval."""
-    x = np.asarray(x, dtype=float).copy()
-    for _ in range(iterations):
-        d = np.asarray(df(x), dtype=float)
-        step = np.where(d != 0.0, np.asarray(f(x), dtype=float) / np.where(d == 0.0, 1.0, d), 0.0)
-        x = np.clip(x - step, lo, hi)
     return x
 
 
@@ -377,13 +424,14 @@ class _Root:
     touching: bool  # located as a zero-value extremum rather than a sign change
 
 
-def _scan_roots(f, df, x_lo, x_hi, step, xtol, touch_radius=None, vertex_margin=math.inf) -> list[_Root]:
+def _scan_roots(f, df, d2f, x_lo, x_hi, step, xtol, touch_radius=None, vertex_margin=math.inf) -> list[_Root]:
     """All roots of a smooth real function on [x_lo, x_hi].
 
-    Sign changes are bisected.  Every derivative sign change is polished to
-    its extremum: one sitting on zero is a touching (even-order) root, and
-    one that dips across zero hides a pair of closely spaced simple roots
-    that the grid could not separate.  All thresholds compare against the
+    Sign changes are refined by _refine on (f, df).  Every derivative sign
+    change is refined on (df, d2f) to its extremum: one sitting on zero is a
+    touching (even-order) root, and one that dips across zero in a cell
+    without a sign change hides a pair of closely spaced simple roots that
+    the grid could not separate.  All thresholds compare against the
     neighboring sample magnitudes, so the scan is insensitive to how fast
     the function's envelope grows along the axis.
 
@@ -413,8 +461,7 @@ def _scan_roots(f, df, x_lo, x_hi, step, xtol, touch_radius=None, vertex_margin=
 
     flips = np.nonzero((sign[:-1] * sign[1:] < 0) & ~exact[:-1] & ~exact[1:])[0]
     if flips.size:
-        refined = _bisect_many(f, xs[flips], xs[flips + 1], xtol)
-        refined = _newton_polish(f, df, refined, xs[flips], xs[flips + 1])
+        refined = _refine(f, df, xs[flips], xs[flips + 1], fv[flips], xtol)
         roots.extend(_Root(float(x), touching=False) for x in refined)
 
     # derivative sign changes: candidate touching roots / hidden pairs
@@ -428,24 +475,20 @@ def _scan_roots(f, df, x_lo, x_hi, step, xtol, touch_radius=None, vertex_margin=
         suspicious = vertex * np.sign(fv[dflips]) < vertex_margin * local
         dflips = dflips[suspicious]
     if dflips.size:
-        ext = _bisect_many(df, xs[dflips], xs[dflips + 1], xtol)
-        for j, x_ext in enumerate(ext):
-            a, b = float(xs[dflips[j]]), float(xs[dflips[j] + 1])
-            fa, fb = float(f(a)), float(f(b))
-            val = float(f(x_ext))
-            local = max(abs(fa), abs(fb), 1e-300)
-            if abs(val) < ROOT_VALUE_TOL * local:
-                roots.append(_Root(float(x_ext), touching=True))
-            elif np.sign(val) != 0:
-                # a dip across zero hides a pair of simple roots; only bisect
-                # the sides that actually bracket a crossing (the other
-                # crossing, if outside this cell, is an ordinary sign change)
-                if np.sign(val) * np.sign(fa) < 0:
-                    left = _newton_polish(f, df, _bisect_many(f, [a], [x_ext], xtol), a, x_ext)
-                    roots.append(_Root(float(left[0]), touching=False))
-                if np.sign(val) * np.sign(fb) < 0:
-                    right = _newton_polish(f, df, _bisect_many(f, [x_ext], [b], xtol), x_ext, b)
-                    roots.append(_Root(float(right[0]), touching=False))
+        ext = _refine(df, d2f, xs[dflips], xs[dflips + 1], dv[dflips], xtol)
+        val = np.asarray(f(ext), dtype=float)
+        fa, fb = fv[dflips], fv[dflips + 1]
+        touching = np.abs(val) < ROOT_VALUE_TOL * np.maximum(np.maximum(np.abs(fa), np.abs(fb)), 1e-300)
+        roots.extend(_Root(float(x), touching=True) for x in ext[touching])
+        # a dip across zero in a cell whose ends share a sign hides a pair of
+        # simple roots; in a cell with a sign change its one crossing is
+        # already among the refined sign changes
+        pair = ~touching & (sign[dflips] * sign[dflips + 1] > 0) & (np.sign(val) * sign[dflips] < 0)
+        if pair.any():
+            e = ext[pair]
+            sides = _refine(f, df, np.r_[xs[dflips[pair]], e], np.r_[e, xs[dflips[pair] + 1]],
+                            np.r_[fa[pair], val[pair]], xtol)
+            roots.extend(_Root(float(x), touching=False) for x in sides)
 
     roots.sort(key=lambda r: r.x)
     deduped: list[_Root] = []
@@ -464,6 +507,7 @@ def _scan_roots(f, df, x_lo, x_hi, step, xtol, touch_radius=None, vertex_margin=
 def _scan_window_counted(
     f,
     df,
+    d2f,
     x_lo,
     x_hi,
     step,
@@ -482,34 +526,31 @@ def _scan_window_counted(
     leave a local signature; the window is then rescanned at a finer step
     until the count closes or the refinement budget runs out.
     """
-    roots = _scan_roots(f, df, x_lo, x_hi, step, xtol, touch_radius, vertex_margin)
+    roots = _scan_roots(f, df, d2f, x_lo, x_hi, step, xtol, touch_radius, vertex_margin)
     expected = (x_hi - x_lo) * density
     for _ in range(max_refinements):
         weight = sum(2 if r.touching else 1 for r in roots)
         if weight >= expected - count_slack:
             break
         step /= 4.0
-        roots = _scan_roots(f, df, x_lo, x_hi, step, xtol, touch_radius, vertex_margin)
+        roots = _scan_roots(f, df, d2f, x_lo, x_hi, step, xtol, touch_radius, vertex_margin)
     return roots
 
 
-def _small_wavenumber_prefix(f, lo_tiny, lo, xtol, noise_floor) -> list[_Root]:
-    """Sign-change sweep of (0, first grid point] on a geometric grid.
+def _sweep(f, df, grid, xtol, noise_floor) -> list[_Root]:
+    """Roots of f between the points of a (geometric) grid, by sign changes.
 
-    Values below the rounding floor carry no sign information and are
-    skipped (the zero-mode condition can make the function vanish to high
-    order at the origin).
+    Cells whose ends both lie below the rounding floor carry no sign
+    information and are skipped (the zero-mode condition can make the
+    function vanish to high order at the origin).
     """
-    grid = np.geomspace(lo_tiny, lo, 48)
-    vals = np.asarray(f(grid))
-    roots: list[_Root] = []
-    for i in range(len(grid) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if max(abs(fa), abs(fb)) < noise_floor:
-            continue
-        if np.sign(fa) * np.sign(fb) < 0:
-            x = _bisect_many(f, [grid[i]], [grid[i + 1]], xtol)
-            roots.append(_Root(float(x[0]), touching=False))
+    vals = np.asarray(f(grid), dtype=float)
+    loud = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])) >= noise_floor
+    roots = [_Root(float(x), touching=False) for x in grid[:-1][loud & (vals[:-1] == 0.0)]]
+    flips = np.nonzero(loud & (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))[0]
+    if flips.size:
+        refined = _refine(f, df, grid[flips], grid[flips + 1], vals[flips], xtol)
+        roots.extend(_Root(float(x), touching=False) for x in refined)
     return roots
 
 
@@ -530,7 +571,7 @@ def positive_levels(
 ) -> list[Level]:
     """The lowest ``count`` positive levels.
 
-    Scans the secular function with grid spacing pi/(8 l), bisects sign
+    Scans the secular function with grid spacing pi/(8 l), refines sign
     changes, and resolves touching roots through the derivative.  Raises
     ScanExhausted when fewer than ``count`` roots exist below the safety cap
     k l = 4 pi (count + 8).
@@ -545,6 +586,7 @@ def positive_levels(
 
     f = lambda k: secular_positive(t, geom, k)
     df = lambda k: secular_positive_deriv(t, geom, k)
+    d2f = lambda k: _secular_deriv2(t, geom, k, False)
 
     def emit(root: _Root) -> Level:
         mult, note = _positive_multiplicity(rep, geom, root.x)
@@ -555,7 +597,7 @@ def positive_levels(
     levels: list[Level] = []
     # the uniform grid starts one step in; a tiny first root can hide below it
     noise_floor = 1e-12 * float(_secular_scale(t, geom, 0.0))
-    for root in _small_wavenumber_prefix(f, step * 1e-4, step, xtol, noise_floor):
+    for root in _sweep(f, df, np.geomspace(step * 1e-4, step, 48), xtol, noise_floor):
         levels.append(emit(root))
 
     lo = step
@@ -569,6 +611,7 @@ def positive_levels(
         for root in _scan_window_counted(
             f,
             df,
+            d2f,
             lo,
             hi,
             step,
@@ -613,6 +656,7 @@ def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:
 
     f = lambda x: secular_negative(t, geom, x)
     df = lambda x: secular_negative_deriv(t, geom, x)
+    d2f = lambda x: _secular_deriv2(t, geom, x, True)
 
     kappa_min = 1e-7 / geom.l0
     # geometric prefix resolves roots much smaller than 1/L0; values below the
@@ -620,33 +664,16 @@ def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:
     # makes the function vanish to fourth order at kappa = 0)
     noise_floor = 1e-12 * float(_secular_scale(t, geom, 0.0))
     grid_lo = np.geomspace(kappa_min, min(0.5 / geom.l0, 0.5 * kmax), 64)
-    roots: list[_Root] = []
-    for i in range(len(grid_lo) - 1):
-        a, b = grid_lo[i], grid_lo[i + 1]
-        fa, fb = f(a), f(b)
-        if max(abs(fa), abs(fb)) < noise_floor:
-            continue
-        if fa == 0.0:
-            roots.append(_Root(float(a), touching=False))
-        elif np.sign(fa) * np.sign(fb) < 0:
-            x = _bisect_many(f, [a], [b], xtol)
-            roots.append(_Root(float(x[0]), touching=False))
+    roots = _sweep(f, df, grid_lo, xtol, noise_floor)
     step = min(geom.l, geom.l0) / 64.0
     kfine = min(kmax, max(10.0 / geom.l0, 10.0 / geom.l))
     roots.extend(
-        _scan_roots(f, df, grid_lo[-1], kfine, step, xtol, touch_radius=2e-7 / geom.l, vertex_margin=2.0)
+        _scan_roots(f, df, d2f, grid_lo[-1], kfine, step, xtol, touch_radius=2e-7 / geom.l, vertex_margin=2.0)
     )
     if kmax > kfine * 1.01:
         # a solitary deep level (tiny cos xi + alpha_r) sits far out; covered
-        # by a geometric tail scan with plain sign-change bisection
-        tail = np.geomspace(kfine, kmax, 512)
-        fv = np.asarray(f(tail))
-        for i in range(len(tail) - 1):
-            if max(abs(fv[i]), abs(fv[i + 1])) < noise_floor:
-                continue
-            if np.sign(fv[i]) * np.sign(fv[i + 1]) < 0:
-                x = _bisect_many(f, [tail[i]], [tail[i + 1]], xtol * max(1.0, tail[i]))
-                roots.append(_Root(float(x[0]), touching=False))
+        # by a geometric tail scan with plain sign-change refinement
+        roots.extend(_sweep(f, df, np.geomspace(kfine, kmax, 512), xtol, noise_floor))
 
     levels: list[Level] = []
     seen: list[float] = []

@@ -14,8 +14,11 @@ reproduces the single-singularity circle.
 Root finding works on a regularized coefficient basis (cos kx, sin(kx)/k)
 which stays nondegenerate through k = 0: there the matrix reduces exactly
 to the linear-ansatz zero-mode condition, and the continuation k -> -i kappa
-covers the negative sector.  The textbook plane-wave matrix is exposed as
-BlockSecular for inspection; both share their zeros at k > 0.
+covers the negative sector.  On that basis the determinant is a fixed real
+quadratic form (up to one constant phase) in (cos kh, sin(kh)/k, k sin kh),
+h = l/2, so the secular function and its derivatives are evaluated in
+closed form.  The textbook plane-wave matrix is exposed as BlockSecular for
+inspection; both share their zeros at k > 0.
 """
 from __future__ import annotations
 
@@ -25,9 +28,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInvariant, NotSpecialUnitary, ScanExhausted
-from .spectrum import Level, Spectrum
-from .u2 import SIGMA3, CharacteristicMatrix, Geometry, from_matrix, to_matrix, unitarity_defect
+from .errors import NotSpecialUnitary, ScanExhausted
+from .spectrum import (
+    Level,
+    Spectrum,
+    _basis_jets,
+    _negative_kappa_max,
+    _scan_roots,
+    _scan_window_counted,
+    _sweep,
+)
+from .u2 import (
+    SIGMA3,
+    CharacteristicMatrix,
+    Geometry,
+    from_matrix,
+    spectral_triple,
+    to_matrix,
+    unitarity_defect,
+)
 
 RANK_TOL = 1e-8
 MERIT_ROOT_TOL = 1e-8
@@ -120,8 +139,7 @@ def _regular_matrix(sys: TwoPointSystem, k: complex) -> np.ndarray:
     Entire in k^2: at k = 0 it is exactly the linear-ansatz matrix, and
     k = -i kappa gives the negative sector with hyperbolic entries.
     """
-    geom = sys.geometry
-    half = geom.l / 2.0
+    half = sys.geometry.l / 2.0
     kh = k * half
     if abs(kh) < 1e-8:
         c = 1.0 - kh**2 / 2.0
@@ -129,117 +147,59 @@ def _regular_matrix(sys: TwoPointSystem, k: complex) -> np.ndarray:
     else:
         c = np.cos(kh)
         s = np.sin(kh) / k
-    k2s = k * k * s
-    rows_val = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 0, 1, 0],
-            [c, s, 0, 0],
-            [0, 0, c, s],
-        ],
-        dtype=complex,
-    )
-    rows_der = np.array(
-        [
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-            [-k2s, c, 0, 0],
-            [0, 0, -k2s, c],
-        ],
-        dtype=complex,
-    )
-    u = sys.block_matrix()
-    eye = np.eye(4)
-    return (u - eye) @ rows_val + 1j * geom.l0 * (u + eye) @ rows_der
+    return _basis_matrix(sys, c, s, k * k * s)
 
 
-def _regular_matrices(sys: TwoPointSystem, mus: np.ndarray) -> np.ndarray:
-    """Stacked regularized matrices; ``mus`` may be complex (-i kappa covers E < 0)."""
-    geom = sys.geometry
-    half = geom.l / 2.0
-    mus = np.asarray(mus)
-    kh = mus * half
-    small = np.abs(kh) < 1e-8
-    safe = np.where(small, 1.0, mus)
-    c = np.cos(kh)
-    s = np.where(small, half * (1.0 - kh**2 / 6.0), np.sin(kh) / safe)
-    k2s = mus * mus * s
-    n = mus.size
-    zeros = np.zeros(n, dtype=complex)
-    ones = np.ones(n, dtype=complex)
-    rows_val = np.stack(
-        [
-            np.stack([ones, zeros, zeros, zeros], -1),
-            np.stack([zeros, zeros, ones, zeros], -1),
-            np.stack([c, s, zeros, zeros], -1),
-            np.stack([zeros, zeros, c, s], -1),
-        ],
-        -2,
-    ).astype(complex)
-    rows_der = np.stack(
-        [
-            np.stack([zeros, ones, zeros, zeros], -1),
-            np.stack([zeros, zeros, zeros, ones], -1),
-            np.stack([-k2s, c, zeros, zeros], -1),
-            np.stack([zeros, zeros, -k2s, c], -1),
-        ],
-        -2,
-    ).astype(complex)
+def _basis_matrix(sys: TwoPointSystem, c, s, t) -> np.ndarray:
+    """The regularized matrix at u = (c, s, t) = (cos kh, sin(kh)/k, k sin kh), h = l/2.
+
+    Rows 1-2 (the joint at x = 0) are constant and rows 3-4 (the joint at
+    l/2) are linear in u.
+    """
+    rows_val = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [c, s, 0, 0], [0, 0, c, s]], dtype=complex)
+    rows_der = np.array([[0, 1, 0, 0], [0, 0, 0, 1], [-t, c, 0, 0], [0, 0, -t, c]], dtype=complex)
     u = sys.block_matrix()
     eye = np.eye(4)
     return (u - eye) @ rows_val + 1j * sys.geometry.l0 * (u + eye) @ rows_der
 
 
-def _det_rotation(sys: TwoPointSystem) -> complex:
-    """The constant unimodular phase of det along the spectral axis.
+def _secular_form(sys: TwoPointSystem) -> tuple[complex, np.ndarray]:
+    """(rotation, A) with det _basis_matrix(u) = rotation * u^T A u, A real symmetric.
 
-    On the regularized basis the determinant equals that fixed phase times
-    a real function of k (real k and k = -i kappa alike), which turns root
-    finding into ordinary sign-change bisection.
+    The determinant is linear in each of rows 3-4, hence a quadratic form
+    whose coefficient of u_i u_j is the determinant with row 3 taken at
+    u = e_i and row 4 at u = e_j.  Its coefficients share one unimodular
+    phase, so the real form vanishes exactly where the matrix is singular.
     """
-    geom = sys.geometry
-    probes = np.concatenate(
-        [
-            np.linspace(0.11, 22.3, 37) / geom.l,
-            -1j * np.linspace(0.07, 6.1, 11) / geom.l,
-        ]
+    unit = [_basis_matrix(sys, *e) for e in np.eye(3)]
+    coef = np.linalg.det(
+        np.array([[np.vstack([unit[0][:2], unit[i][2], unit[j][3]]) for j in range(3)] for i in range(3)])
     )
-    dets = _normalized_det(_regular_matrices(sys, probes))
-    ref = dets[int(np.argmax(np.abs(dets)))]
+    coef = 0.5 * (coef + coef.T)
+    ref = coef.flat[np.argmax(np.abs(coef))]
     rotation = ref / abs(ref)
-    resid = np.max(np.abs((dets / rotation).imag)) / max(np.abs(dets).max(), 1e-300)
-    if resid > 1e-6:
-        raise InternalInvariant(
-            f"determinant is not a fixed phase times a real function (residue {resid:.2e})"
-        )
-    return complex(rotation)
+    return complex(rotation), (coef / rotation).real
 
 
-def _normalized_det(mats: np.ndarray) -> np.ndarray:
-    """Determinants after scaling each row to unit max magnitude.
+def _real_secular(form: np.ndarray, geom: Geometry, hyperbolic: bool, order: int):
+    """The ``order``-th k-derivative (order <= 2) of Q = u^T A u at k > 0.
 
-    Positive row scalings leave zeros, the constant phase, and signs intact
-    while keeping deep-kappa hyperbolic entries out of overflow.
+    ``hyperbolic`` evaluates at k -> -i kappa and returns the derivatives of
+    e^{-kappa l} Q instead: the positive factor keeps deep levels in float
+    range and leaves roots and signs alone.
     """
-    scale = np.abs(mats).max(axis=-1, keepdims=True)
-    scale = np.maximum(scale, 1e-300)
-    return np.linalg.det(mats / scale)
+    w = geom.l if hyperbolic else 0.0
 
+    def g(k):
+        u = _basis_jets(k, geom.l / 2.0, hyperbolic)
+        q = lambda i, j: np.einsum("i...,ij,j...->...", u[i], form, u[j])
+        if order == 0:
+            return q(0, 0)
+        if order == 1:
+            return 2.0 * q(0, 1) - w * q(0, 0)
+        return 2.0 * (q(1, 1) + q(0, 2)) - 4.0 * w * q(0, 1) + w * w * q(0, 0)
 
-def _real_secular(sys: TwoPointSystem, rotation: complex, negative: bool):
-    def f(k):
-        mus = np.atleast_1d(np.asarray(k, dtype=float))
-        if negative:
-            mus = -1j * mus
-        vals = (_normalized_det(_regular_matrices(sys, mus)) / rotation).real
-        return vals if np.asarray(k).shape else float(vals[0])
-
-    def df(k, _h=1e-7):
-        k = np.asarray(k, dtype=float)
-        h = _h * (1.0 + np.abs(k))
-        return (np.asarray(f(k + h)) - np.asarray(f(k - h))) / (2.0 * h)
-
-    return f, df
+    return g
 
 
 def _level_multiplicity(sys: TwoPointSystem, mu: complex) -> tuple[int, float]:
@@ -255,9 +215,10 @@ def _level_multiplicity(sys: TwoPointSystem, mu: complex) -> tuple[int, float]:
 def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     """Negative, zero, and the lowest ``count`` positive levels of the pair.
 
-    Roots of the (phase-rotated, real) 4x4 determinant are bisected across
-    sign changes and through-derivative touches; multiplicity is the rank
-    deficiency of the boundary matrix at the root.
+    Roots of the closed-form real secular function (_secular_form) are
+    refined across sign changes and through-derivative touches by the
+    scanner the one-point solver uses; multiplicity is the rank deficiency of the boundary
+    matrix at the root.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -265,7 +226,7 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     step = math.pi / (8.0 * geom.l)
     xtol = 1e-13 / geom.l
     cap = 4.0 * math.pi * (count + 8) / geom.l
-    rotation = _det_rotation(sys)
+    _, form = _secular_form(sys)
 
     levels: list[Level] = []
 
@@ -276,31 +237,23 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
         levels.append(Level("zero", 0.0, 0.0, max(mult, 1)))
 
     # negative sector; deep levels localize at one singularity, so the
-    # one-singularity adaptive search bound of either constituent applies
-    from .spectrum import _negative_kappa_max
-    from .u2 import spectral_triple
-
-    fneg, dfneg = _real_secular(sys, rotation, negative=True)
+    # one-singularity adaptive search bound of either constituent applies.
+    # The doubled state takes outward derivatives at l/2, where the second
+    # singularity therefore binds like U2^dagger.
+    fneg, dfneg, d2fneg = (_real_secular(form, geom, True, n) for n in range(3))
+    u2_dagger = from_matrix(to_matrix(sys.u2).conj().T)
     kmax = 2.0 * max(
         10.0 / geom.l0,
         10.0 / geom.l,
-        _negative_kappa_max(spectral_triple(sys.u1), geom),
-        _negative_kappa_max(spectral_triple(sys.u2), geom),
+        *(_negative_kappa_max(spectral_triple(u), geom) for u in (sys.u1, sys.u2, u2_dagger)),
     )
-    # hyperbolic entries at kappa l / 2 must stay inside float range
+    # hyperbolic entries of the rank check at kappa l / 2 must stay inside float range
     kmax = min(kmax, 1200.0 / geom.l)
     pre = np.geomspace(1e-6 / geom.l0, min(0.5 / geom.l0, 0.5 * kmax), 96)
-    pre_vals = np.asarray(fneg(pre))
-    for i in range(len(pre) - 1):
-        if np.sign(pre_vals[i]) * np.sign(pre_vals[i + 1]) < 0:
-            kp = float(_bisect_scalar(fneg, pre[i], pre[i + 1], xtol))
-            mult, merit = _level_multiplicity(sys, -1j * kp)
-            if merit < MERIT_ROOT_TOL:
-                levels.append(Level("negative", kp, -(kp**2), mult))
-    from .spectrum import _scan_roots  # shared scan machinery
-
-    lin_lo = min(0.5 / geom.l0, 0.5 * kmax)
-    for root in _scan_roots(fneg, dfneg, lin_lo, kmax, (kmax - lin_lo) / 512, xtol, touch_radius=4e-7 / geom.l):
+    roots = _sweep(fneg, dfneg, pre, xtol, 0.0) + _scan_roots(
+        fneg, dfneg, d2fneg, pre[-1], kmax, (kmax - pre[-1]) / 512, xtol, touch_radius=4e-7 / geom.l
+    )
+    for root in roots:
         if any(lv.sector == "negative" and abs(lv.wavenumber - root.x) < 1e-7 for lv in levels):
             continue
         mult, merit = _level_multiplicity(sys, -1j * root.x)
@@ -310,12 +263,10 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     # positive sector, windowed, with eigenvalue-count verification: the
     # level pairs of weakly coupled halves close like 1/k and eventually
     # hide inside one grid cell without any local signature
-    from .spectrum import _scan_window_counted, _small_wavenumber_prefix
-
-    fpos, dfpos = _real_secular(sys, rotation, negative=False)
+    fpos, dfpos, d2fpos = (_real_secular(form, geom, False, n) for n in range(3))
     positives: list[Level] = []
     floor = 1e-12 * max(1.0, abs(float(fpos(step))))
-    for root in _small_wavenumber_prefix(fpos, step * 1e-4, step, xtol, floor):
+    for root in _sweep(fpos, dfpos, np.geomspace(step * 1e-4, step, 48), xtol, floor):
         mult, merit = _level_multiplicity(sys, root.x)
         if merit < MERIT_ROOT_TOL:
             positives.append(Level("positive", root.x, root.x**2, mult))
@@ -331,6 +282,7 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
         for root in _scan_window_counted(
             fpos,
             dfpos,
+            d2fpos,
             lo,
             hi,
             step,
@@ -350,20 +302,6 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     levels.extend(positives[:count])
     levels.sort(key=lambda lv: lv.energy)
     return Spectrum(tuple(levels), provenance=None, max_negative=4)
-
-
-def _bisect_scalar(f, a: float, b: float, xtol: float) -> float:
-    fa = f(a)
-    for _ in range(90):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if np.sign(fa) * np.sign(fm) <= 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-        if b - a < xtol:
-            break
-    return 0.5 * (a + b)
 
 
 def conjugate_pair(sys: TwoPointSystem, v, tol: float = 1e-10) -> TwoPointSystem:

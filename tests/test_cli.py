@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qring
 from qring.cli import main
 from qring.io import levels_from_text, spectrum_to_csv, spectrum_to_json, u_from_json
 from qring.spectrum import full_spectrum
@@ -127,6 +131,22 @@ class TestKernelCommand:
             capsys, "kernel", "--family", "smooth", "--theta", "1.0", "--grid", "3"
         )
         assert code == 0
+
+    def test_spectral_weight_overflow_is_numeric_failure(self, capsys):
+        # pinned triple (0, -0.9998, 0): a bound state at kappa l = 100
+        alpha_i = math.sqrt(1 - 0.9998**2)
+        u = json.dumps({"xi": 0.0, "alpha": [-0.9998, alpha_i], "beta": [0.0, 0.0]})
+        code, _, err = run_cli(capsys, "kernel", "--family", "spectral", "--u", u, "--grid", "2")
+        assert code == 3
+        assert "float range" in err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the least-squares fit needs scipy.optimize, and it dominates import time
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qring.__file__)))
+    code = "import sys, qring.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestRoundtripCommand:

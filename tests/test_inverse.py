@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qring.inverse
 from qring.errors import Ambiguous, DegenerateTail, Inconsistent
 from qring.inverse import (
     AsymptoticCoeffs,
@@ -188,6 +189,17 @@ class TestFitParameters:
             residual_target=1e-6,
         )
         assert triple_error(res.triple, truth) < 1e-6
+
+    def test_forward_solver_bug_propagates(self, monkeypatch):
+        # only typed solver failures mark a candidate inconsistent; anything
+        # else is a bug and must not be hidden as a failed fit
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver bug")
+
+        monkeypatch.setattr(qring.inverse, "positive_levels", broken)
+        prefix = prefix_from_spectrum(full_spectrum(from_matrix(SIGMA1), GEOM, 30), GEOM)
+        with pytest.raises(RuntimeError, match="solver bug"):
+            fit_parameters(prefix)
 
 
 class TestRecoverParameters:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qring.errors import NonConvergent, SingularCoefficients, TruncationWarning, Unsupported
+from qring.errors import NonConvergent, SingularCoefficients, TruncationWarning, Unsupported, WeightOverflow
 from qring.kernels import (
     KernelQuery,
     box_kernel,
@@ -16,7 +16,7 @@ from qring.kernels import (
     smooth_kernel,
     spectral_kernel,
 )
-from qring.u2 import SIGMA1, CharacteristicMatrix, Geometry, from_matrix
+from qring.u2 import SIGMA1, CharacteristicMatrix, Geometry, SpectralTriple, from_matrix, triple_to_matrix
 
 GEOM = Geometry(1.0, 1.0)
 TAU = 0.1
@@ -214,6 +214,12 @@ class TestSpectralKernel:
         u = from_matrix(SIGMA1)
         with pytest.warns(TruncationWarning):
             spectral_kernel(u, GEOM, euclidean_query(0.2, 0.4, 1e-4), 5)
+
+    def test_deep_level_weight_overflow_is_typed(self):
+        # the pinned triple binds at kappa l = 100, so e^{kappa^2 tau} overflows at tau = 0.1
+        u = triple_to_matrix(SpectralTriple(0.0, -0.9998, 0.0))
+        with pytest.raises(WeightOverflow):
+            spectral_kernel(u, GEOM, QUERY, 10)
 
 
 class TestCrosscheck:

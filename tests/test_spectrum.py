@@ -5,6 +5,7 @@ import pytest
 
 from qring.errors import NotSusyCase
 from qring.spectrum import (
+    _secular_deriv2,
     boundary_residual,
     degeneracy_at,
     eigenfunction,
@@ -17,6 +18,7 @@ from qring.spectrum import (
     scale_independence_check,
     secular_matrix,
     secular_negative,
+    secular_negative_deriv,
     secular_positive,
     secular_positive_deriv,
     verify_susy_pairing,
@@ -72,6 +74,12 @@ class TestSecularFunction:
         h = 1e-6
         fd = (secular_positive(t, GEOM, ks + h) - secular_positive(t, GEOM, ks - h)) / (2 * h)
         assert np.abs(secular_positive_deriv(t, GEOM, ks) - fd).max() < 1e-7
+        # the second derivatives that refine extrema, in both sectors
+        sectors = ((False, secular_positive_deriv, ks), (True, secular_negative_deriv, ks / 4))
+        for hyperbolic, deriv, xs in sectors:
+            fd2 = (deriv(t, GEOM, xs + h) - deriv(t, GEOM, xs - h)) / (2 * h)
+            scale = np.abs(deriv(t, GEOM, xs)).max()
+            assert np.abs(_secular_deriv2(t, GEOM, xs, hyperbolic) - fd2).max() < 1e-7 * max(scale, 1.0)
 
     def test_negative_examples(self):
         # (0,0,0): bracket 1 - (kappa L0)^2 vanishes at kappa = 1/L0
