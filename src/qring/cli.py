@@ -59,6 +59,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--geometry", default=DEFAULT_GEOMETRY, help="JSON {'l':..,'L0':..} or @file")
     p.add_argument("--output", default=None, help="output path (default: stdout)")
@@ -255,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="levels of one singularity")
     p.add_argument("--u", required=True, help="boundary matrix JSON or @file")
-    p.add_argument("--levels", type=int, default=20)
+    p.add_argument("--levels", type=_positive_int, default=20)
     p.add_argument("--tol", type=float, default=1e-10)
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
@@ -269,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="isospectrality of symmetry maps or pair conjugations")
     p.add_argument("--u", help="boundary matrix (one-singularity orbit)")
     p.add_argument("--u2", default=None, help="second matrix: conjugation orbit of the pair (--u, --u2)")
-    p.add_argument("--levels", type=int, default=20)
+    p.add_argument("--levels", type=_positive_int, default=20)
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
@@ -288,21 +295,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.0, help="smooth-circle flux")
     p.add_argument("--u", help="boundary matrix for f2/spectral families")
     p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--levels", type=int, default=60)
+    p.add_argument("--grid", type=_positive_int, default=16)
+    p.add_argument("--levels", type=_positive_int, default=60)
     _add_common(p)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("twopoint", help="levels of two singularities")
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
-    p.add_argument("--levels", type=int, default=20)
+    p.add_argument("--levels", type=_positive_int, default=20)
     _add_common(p)
     p.set_defaults(func=cmd_twopoint)
 
     p = sub.add_parser("roundtrip", help="forward then inverse on a random singularity")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=int, default=200)
+    p.add_argument("--levels", type=_positive_int, default=200)
     _add_common(p)
     p.set_defaults(func=cmd_roundtrip)
 

@@ -516,15 +516,27 @@ class RecoveryResult:
 
 
 def _triple_distance(a: SpectralTriple, b: SpectralTriple) -> float:
-    return max(abs(a.xi - b.xi), abs(a.alpha_r - b.alpha_r), abs(a.beta_i - b.beta_i))
+    """Max-norm distance of two triples, modulo the chart seam.
+
+    xi is defined modulo pi: (xi, aR, bI) just below pi is the same boundary
+    matrix as (xi - pi, -aR, -bI) just above 0, so a near-pi triple is also
+    compared through that image.
+    """
+    shift = -math.pi if a.xi >= math.pi / 2 else math.pi
+    return min(
+        max(abs(a.xi + d - b.xi), abs(sign * a.alpha_r - b.alpha_r), abs(sign * a.beta_i - b.beta_i))
+        for d, sign in ((0.0, 1.0), (shift, -1.0))
+    )
 
 
 def recover_parameters(prefix: SpectrumPrefix, seed: int = 0) -> RecoveryResult:
     """Full inversion: classify, run the per-case recovery, cross-check with the fit.
 
     When the classification is ambiguous (regime-boundary data) the fit
-    alone decides.  A disagreement beyond 1e-3 between the two routes is
-    reported as a warning and the fit value is returned.
+    alone decides.  The two routes are compared modulo the chart seam at
+    xi = pi; when they agree, the analytic value is returned, in its own
+    chart.  A disagreement beyond 1e-3 is reported as a warning and the fit
+    value is returned.
     """
     notes: list[str] = []
     asym: SpectralTriple | None = None

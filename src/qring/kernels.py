@@ -79,7 +79,11 @@ def free_kernel(x, t: complex):
 
 
 def _image_count(q: KernelQuery, geom: Geometry, period: float, reach: float) -> int:
-    """Number of image shells needed for the Gaussian tail to drop below tolerance."""
+    """Number of image shells needed for the Gaussian tail to drop below tolerance.
+
+    A Euclidean query's n_max caps the count; capping below the need warns
+    with TruncationWarning.
+    """
     t = complex(q.time)
     if not q.is_euclidean:
         if q.n_max is None:
@@ -92,7 +96,14 @@ def _image_count(q: KernelQuery, geom: Geometry, period: float, reach: float) ->
     target = q.truncation_tol / max(amp, 1e-300)
     radius = math.sqrt(max(4.0 * tau_eff * math.log(1.0 / min(target, 1.0)), 0.0))
     n = int(math.ceil((radius + reach) / period)) + 2
-    return max(n, q.n_max or 0) if q.n_max is None else min(n, q.n_max)
+    if q.n_max is not None and q.n_max < n:
+        warnings.warn(
+            f"image sum truncated at n_max = {q.n_max} shells; the tail bound "
+            f"{q.truncation_tol:.1e} needs {n}",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    return n if q.n_max is None else min(n, q.n_max)
 
 
 def box_kernel(case: tuple[float, float], geom: Geometry, q: KernelQuery):

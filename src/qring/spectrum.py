@@ -9,11 +9,13 @@ function of the wavenumber,
 for E = k^2 > 0; the E = -kappa^2 < 0 condition is the same expression
 continued through k -> -i kappa (trigonometric -> hyperbolic), and the
 E = 0 condition is the common k -> 0 limit.  G depends only on the
-spectral triple (xi, Re alpha, Im beta).  Roots are located by a uniform
-scan (safeguarded Newton across sign changes, and on the derivative at
-touching roots), and multiplicities are read off the rank of the 2x2 boundary
-matrix at the root: a doubly degenerate level requires all four entries
-to vanish, which happens only for Im alpha = Re beta = 0, Im beta != 0.
+spectral triple (xi, Re alpha, Im beta).  Its roots are found by the
+shared engine (qring.engine): a windowed uniform scan for k > 0 and one
+scan in ln kappa of e^{-kappa l} G for the negative sector.  Multiplicities
+are read off the 2x2 boundary matrix (U - I) V + i L0 (U + I) D on the
+regularized basis (cos kx, sin(kx)/k), one form for all three sectors
+(regular_matrix): a doubly degenerate level requires all four entries to
+vanish, which happens only for Im alpha = Re beta = 0, Im beta != 0.
 
 Units: hbar^2/2m = 1, so energies are k^2 (or -kappa^2) with k in 1/length.
 """
@@ -24,12 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InternalInvariant,
-    NotSusyCase,
-    RankMismatch,
-    ScanExhausted,
-)
+from .engine import basis_jets, boundary_matrix, negative_roots, null_dims, null_space, positive_roots
+from .errors import InternalInvariant, NotSusyCase, RankMismatch
 from .u2 import (
     SIGMA1,
     CharacteristicMatrix,
@@ -40,10 +38,6 @@ from .u2 import (
     triple_to_matrix,
 )
 
-SCAN_STEPS_PER_PI = 8          # grid spacing pi/(8 l)
-ROOT_XTOL_FACTOR = 1e-13       # |dk| * l target for refined roots
-ROOT_VALUE_TOL = 1e-10         # |G| below this (times scale) counts as a touching root
-RANK_TOL = 1e-8                # singular-value threshold, times the matrix norm scale
 LOCUS_TOL = 1e-10
 
 
@@ -178,41 +172,14 @@ def secular_negative_deriv(triple: SpectralTriple, geom: Geometry, kappa):
     return out if out.shape else float(out)
 
 
-def _basis_jets(k, h, hyperbolic: bool):
-    """Rows u, u', u'' of u = (cos kh, sin(kh)/k, k sin kh) and its k-derivatives.
-
-    ``hyperbolic`` takes the continuation k -> -i kappa at k = kappa,
-    u = (cosh kh, sinh(kh)/k, -k sinh kh), with every row times e^{-kh} so
-    that no entry overflows however deep the level.  Shape (3, 3) + k.shape.
-    """
-    k = np.asarray(k, dtype=float)
-    th = k * h
-    if hyperbolic:
-        cs, sn, sg = 0.5 * (1.0 + np.exp(-2.0 * th)), -0.5 * np.expm1(-2.0 * th), 1.0
-    else:
-        cs, sn, sg = np.cos(th), np.sin(th), -1.0
-    s = h * np.divide(sn, th, out=np.ones_like(th), where=th != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # s', s'' are not used at k = 0
-        s1 = (h * cs - s) / k
-        s2 = (sg * h * h * sn - 2.0 * s1) / k
-    k2 = k * k
-    return np.array(
-        [
-            [cs, s, -sg * k2 * s],
-            [sg * h * sn, s1, -sg * (2.0 * k * s + k2 * s1)],
-            [sg * h * h * cs, s2, -sg * (2.0 * s + 4.0 * k * s1 + k2 * s2)],
-        ]
-    )
-
-
 def _secular_deriv2(t: SpectralTriple, geom: Geometry, k, hyperbolic: bool):
     """d^2/dk^2 of secular_positive, or of secular_negative if ``hyperbolic``.
 
-    Both are bI + w . u on the basis of _basis_jets with h = l.
+    Both are bI + w . u on the basis of engine.basis_jets with h = l.
     """
     cos_xi = math.cos(t.xi)
     w = np.array([math.sin(t.xi), (cos_xi - t.alpha_r) / (2 * geom.l0), (cos_xi + t.alpha_r) * geom.l0 / 2])
-    out = w @ _basis_jets(k, geom.l, hyperbolic)[2]
+    out = w @ basis_jets(k, geom.l, hyperbolic)[2]
     return _exp_clip(np.asarray(k) * geom.l) * out if hyperbolic else out
 
 
@@ -221,97 +188,33 @@ def zero_mode_exists(triple: SpectralTriple, geom: Geometry, tol: float = 1e-10)
     return abs(secular_positive(_as_triple(triple), geom, 0.0)) < tol
 
 
-def _secular_scale(triple: SpectralTriple, geom: Geometry, k):
-    """Magnitude envelope of the secular function, used for relative thresholds."""
-    t = triple
-    k = np.asarray(k, dtype=float)
-    c_minus = abs(math.cos(t.xi) - t.alpha_r)
-    c_plus = abs(math.cos(t.xi) + t.alpha_r)
-    env = (
-        abs(t.beta_i)
-        + abs(math.sin(t.xi))
-        + (c_minus + c_plus * (k * geom.l0) ** 2) * (geom.l / (2 * geom.l0))
-    )
-    return np.maximum(env, 1e-30)
+def _noise_floor(t: SpectralTriple, geom: Geometry) -> float:
+    """Rounding floor of the secular function near k = 0: 1e-12 of its magnitude envelope there."""
+    envelope = abs(t.beta_i) + abs(math.sin(t.xi)) + abs(math.cos(t.xi) - t.alpha_r) * (geom.l / (2 * geom.l0))
+    return 1e-12 * max(envelope, 1e-30)
 
 
 # ---------------------------------------------------------------------------
-# boundary matrices in each sector
+# the boundary matrix
 
 
-def secular_matrix(u: CharacteristicMatrix, geom: Geometry, k):
-    """The 2x2 matrix whose null vectors are the plane-wave coefficients (A, B).
+def regular_matrix(u: CharacteristicMatrix, geom: Geometry, k, hyperbolic: bool = False):
+    """Boundary matrix and envelope on the regularized basis (cos kx, sin(kx)/k).
 
-    Vectorized: array k gives a stacked (..., 2, 2) result.  Its determinant
-    vanishes exactly at the eigen-wavenumbers; rank deficiency by two marks a
-    doubly degenerate level.
+    (U - I) V + i L0 (U + I) D with V, D the values and outward derivatives
+    of the basis at x = 0 (row 1) and x = l (row 2); its null vectors are
+    the coefficients (A, B) of psi = A cos kx + B sin(kx)/k.  k = 0 gives
+    the zero-mode matrix of psi = A + B x, and ``hyperbolic`` evaluates at
+    k -> -i kappa (psi = A cosh kx + B sinh(kx)/k) with the whole matrix
+    times e^{-kappa l}, floored at 1e-300 so a separated joint keeps its
+    row.  Vectorized over k: array k gives stacked (..., 2, 2) results.
     """
-    k = np.asarray(k, dtype=float)
-    kp = 1.0 + k * geom.l0
-    km = 1.0 - k * geom.l0
-    e = np.exp(1j * k * geom.l)
-    em = np.conj(e)
-    ex = np.exp(-1j * u.xi)
-    al, be = u.alpha, u.beta
-    rows = np.stack(
-        [
-            np.stack([al * km + (be * e - ex) * kp, al * kp + (be * em - ex) * km], axis=-1),
-            np.stack(
-                [
-                    np.conj(al) * e * kp - (np.conj(be) + ex * e) * km,
-                    np.conj(al) * em * km - (np.conj(be) + ex * em) * kp,
-                ],
-                axis=-1,
-            ),
-        ],
-        axis=-2,
-    )
-    return rows
-
-
-def negative_secular_matrix(u: CharacteristicMatrix, geom: Geometry, kappa):
-    """Boundary matrix for decaying exponentials, coefficients meaning A e^{kx} + B e^{-kx}.
-
-    Obtained from the positive-sector matrix by the continuation k -> -i kappa.
-    Entries overflow to inf for kappa l beyond the exponential range; callers
-    treat non-finite matrices as trivially full rank.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    kp = 1.0 - 1j * kappa * geom.l0
-    km = 1.0 + 1j * kappa * geom.l0
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(kappa * geom.l)
-        em = np.exp(-kappa * geom.l)
-        ex = np.exp(-1j * u.xi)
-        al, be = u.alpha, u.beta
-        rows = np.stack(
-            [
-                np.stack([al * km + (be * e - ex) * kp, al * kp + (be * em - ex) * km], axis=-1),
-                np.stack(
-                    [
-                        np.conj(al) * e * kp - (np.conj(be) + ex * e) * km,
-                        np.conj(al) * em * km - (np.conj(be) + ex * em) * kp,
-                    ],
-                    axis=-1,
-                ),
-            ],
-            axis=-2,
-        )
-    return rows
-
-
-def zero_secular_matrix(u: CharacteristicMatrix, geom: Geometry):
-    """Boundary matrix for the linear ansatz psi = A + B x of the zero sector."""
-    uu = to_matrix(u)
-    eye = np.eye(2)
-    vals = np.array([[1.0, 0.0], [1.0, geom.l]], dtype=complex)
-    ders = np.array([[0.0, 1.0], [0.0, -1.0]], dtype=complex)
-    return (uu - eye) @ vals + 1j * geom.l0 * (uu + eye) @ ders
-
-
-def _matrix_norm_scale(geom: Geometry, k) -> float:
-    """Natural magnitude of secular-matrix entries at wavenumber k."""
-    return 4.0 * (1.0 + abs(k) * geom.l0)
+    c, s, t = basis_jets(k, geom.l, hyperbolic)[0]
+    w = np.maximum(np.exp(-np.asarray(k, dtype=float) * geom.l), 1e-300) if hyperbolic else np.ones_like(c)
+    zero = np.zeros_like(c)
+    vals = np.stack([np.stack([w, zero], -1), np.stack([c, s], -1)], -2)
+    ders = np.stack([np.stack([zero, w], -1), np.stack([t, -c], -1)], -2)
+    return boundary_matrix(to_matrix(u), geom.l0, vals, ders)
 
 
 # ---------------------------------------------------------------------------
@@ -378,197 +281,7 @@ class Spectrum:
         return any(lv.sector == "zero" for lv in self.levels)
 
 
-# ---------------------------------------------------------------------------
-# root scanning
-
-
-def _refine(f, df, lo, hi, flo, xtol):
-    """Bracket-safeguarded Newton (rtsafe), vectorized over brackets.
-
-    Each [lo[i], hi[i]] must hold a sign change of f, with flo = f(lo).  A
-    Newton step is taken when it lands inside the current bracket and at
-    most halves the previous step, otherwise the bracket is bisected.  A
-    root is done once its Newton step falls below xtol (or a few ulps), or
-    its bracket closes; a last step that only rounding noise pushed outside
-    the bracket is dropped rather than replaced by a bisection.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    side = np.sign(flo)
-    x = 0.5 * (lo + hi)
-    tol = np.maximum(xtol, 4.0 * np.spacing(np.abs(hi)))
-    last = hi - lo
-    done = np.zeros(x.shape, dtype=bool)
-    for _ in range(100):  # bisection alone narrows any float bracket to tol within 100 halvings
-        fx = np.asarray(f(x), dtype=float)
-        dfx = np.asarray(df(x), dtype=float)
-        left = np.sign(fx) == side
-        lo = np.where(left, x, lo)
-        hi = np.where(left, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = -fx / dfx
-        ok = (x + newton > lo) & (x + newton < hi) & (np.abs(newton) <= 0.5 * last)
-        small = ~(np.abs(newton) >= tol)  # also fx == dfx == 0
-        step = np.where(ok, newton, np.where(small, 0.0, 0.5 * (lo + hi) - x))
-        x = np.where(done, x, x + step)
-        last = np.abs(step)
-        done |= small | (last < tol)
-        if done.all():
-            break
-    return x
-
-
-@dataclass(frozen=True)
-class _Root:
-    x: float
-    touching: bool  # located as a zero-value extremum rather than a sign change
-
-
-def _scan_roots(f, df, d2f, x_lo, x_hi, step, xtol, touch_radius=None, vertex_margin=math.inf) -> list[_Root]:
-    """All roots of a smooth real function on [x_lo, x_hi].
-
-    Sign changes are refined by _refine on (f, df).  Every derivative sign
-    change is refined on (df, d2f) to its extremum: one sitting on zero is a
-    touching (even-order) root, and one that dips across zero in a cell
-    without a sign change hides a pair of closely spaced simple roots that
-    the grid could not separate.  All thresholds compare against the
-    neighboring sample magnitudes, so the scan is insensitive to how fast
-    the function's envelope grows along the axis.
-
-    ``vertex_margin`` < inf skips extrema whose cell-edge quadratic
-    prediction sits further above zero than that multiple of the local
-    magnitude; use it only for functions whose dips are locally parabolic
-    (cell-edge extrapolation badly underestimates spike-like dips).
-
-    Crossings closer than ``touch_radius`` to a touching root are absorbed
-    into it: within the rounding plateau of a quadratic zero (|f| below the
-    evaluation noise over a sqrt(eps)-wide span) sign changes carry no
-    information, so such satellites are artifacts, not levels.
-    """
-    if touch_radius is None:
-        touch_radius = 4 * xtol
-    n = max(int(math.ceil((x_hi - x_lo) / step)) + 1, 8)
-    xs = np.linspace(x_lo, x_hi, n)
-    fv = np.asarray(f(xs), dtype=float)
-    dv = np.asarray(df(xs), dtype=float)
-
-    roots: list[_Root] = []
-
-    sign = np.sign(fv)
-    exact = fv == 0.0
-    for i in np.nonzero(exact)[0]:
-        roots.append(_Root(float(xs[i]), touching=False))
-
-    flips = np.nonzero((sign[:-1] * sign[1:] < 0) & ~exact[:-1] & ~exact[1:])[0]
-    if flips.size:
-        refined = _refine(f, df, xs[flips], xs[flips + 1], fv[flips], xtol)
-        roots.extend(_Root(float(x), touching=False) for x in refined)
-
-    # derivative sign changes: candidate touching roots / hidden pairs
-    dflips = np.nonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)[0]
-    if dflips.size and math.isfinite(vertex_margin):
-        h = xs[1] - xs[0]
-        curvature = (dv[dflips + 1] - dv[dflips]) / h
-        safe = np.where(curvature == 0.0, 1.0, curvature)
-        vertex = fv[dflips] - np.where(curvature == 0.0, 0.0, dv[dflips] ** 2 / (2.0 * safe))
-        local = np.maximum(np.abs(fv[dflips]), np.abs(fv[dflips + 1]))
-        suspicious = vertex * np.sign(fv[dflips]) < vertex_margin * local
-        dflips = dflips[suspicious]
-    if dflips.size:
-        ext = _refine(df, d2f, xs[dflips], xs[dflips + 1], dv[dflips], xtol)
-        val = np.asarray(f(ext), dtype=float)
-        fa, fb = fv[dflips], fv[dflips + 1]
-        touching = np.abs(val) < ROOT_VALUE_TOL * np.maximum(np.maximum(np.abs(fa), np.abs(fb)), 1e-300)
-        roots.extend(_Root(float(x), touching=True) for x in ext[touching])
-        # a dip across zero in a cell whose ends share a sign hides a pair of
-        # simple roots; in a cell with a sign change its one crossing is
-        # already among the refined sign changes
-        pair = ~touching & (sign[dflips] * sign[dflips + 1] > 0) & (np.sign(val) * sign[dflips] < 0)
-        if pair.any():
-            e = ext[pair]
-            sides = _refine(f, df, np.r_[xs[dflips[pair]], e], np.r_[e, xs[dflips[pair] + 1]],
-                            np.r_[fa[pair], val[pair]], xtol)
-            roots.extend(_Root(float(x), touching=False) for x in sides)
-
-    roots.sort(key=lambda r: r.x)
-    deduped: list[_Root] = []
-    for r in roots:
-        if deduped:
-            last = deduped[-1]
-            radius = touch_radius if (r.touching or last.touching) else 4 * xtol
-            if abs(r.x - last.x) < radius:
-                if r.touching and not last.touching:
-                    deduped[-1] = r
-                continue
-        deduped.append(r)
-    return deduped
-
-
-def _scan_window_counted(
-    f,
-    df,
-    d2f,
-    x_lo,
-    x_hi,
-    step,
-    xtol,
-    touch_radius,
-    vertex_margin,
-    density,
-    count_slack=3.0,
-    max_refinements=5,
-) -> list[_Root]:
-    """Window scan with eigenvalue-count verification.
-
-    Asymptotically the roots (weighted by multiplicity, touching roots
-    counting twice) fill the axis with uniform density, so a deficit
-    against that count means the grid straddled a root pair too narrow to
-    leave a local signature; the window is then rescanned at a finer step
-    until the count closes or the refinement budget runs out.
-    """
-    roots = _scan_roots(f, df, d2f, x_lo, x_hi, step, xtol, touch_radius, vertex_margin)
-    expected = (x_hi - x_lo) * density
-    for _ in range(max_refinements):
-        weight = sum(2 if r.touching else 1 for r in roots)
-        if weight >= expected - count_slack:
-            break
-        step /= 4.0
-        roots = _scan_roots(f, df, d2f, x_lo, x_hi, step, xtol, touch_radius, vertex_margin)
-    return roots
-
-
-def _sweep(f, df, grid, xtol, noise_floor) -> list[_Root]:
-    """Roots of f between the points of a (geometric) grid, by sign changes.
-
-    Cells whose ends both lie below the rounding floor carry no sign
-    information and are skipped (the zero-mode condition can make the
-    function vanish to high order at the origin).
-    """
-    vals = np.asarray(f(grid), dtype=float)
-    loud = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])) >= noise_floor
-    roots = [_Root(float(x), touching=False) for x in grid[:-1][loud & (vals[:-1] == 0.0)]]
-    flips = np.nonzero(loud & (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))[0]
-    if flips.size:
-        refined = _refine(f, df, grid[flips], grid[flips + 1], vals[flips], xtol)
-        roots.extend(_Root(float(x), touching=False) for x in refined)
-    return roots
-
-
-# ---------------------------------------------------------------------------
-# level construction
-
-
-def _positive_multiplicity(rep: CharacteristicMatrix, geom: Geometry, k: float) -> tuple[int, str | None]:
-    s = np.linalg.svd(secular_matrix(rep, geom, k), compute_uv=False)
-    scale = _matrix_norm_scale(geom, k)
-    if s[0] < RANK_TOL * scale:
-        return 2, None
-    return 1, None
-
-
-def positive_levels(
-    triple: SpectralTriple, geom: Geometry, count: int, _cap_factor: float = 4.0
-) -> list[Level]:
+def positive_levels(triple: SpectralTriple, geom: Geometry, count: int) -> list[Level]:
     """The lowest ``count`` positive levels.
 
     Scans the secular function with grid spacing pi/(8 l), refines sign
@@ -580,54 +293,19 @@ def positive_levels(
         raise ValueError("count must be at least 1")
     t = _as_triple(triple)
     rep = triple_to_matrix(t)
-    step = math.pi / (SCAN_STEPS_PER_PI * geom.l)
-    xtol = ROOT_XTOL_FACTOR / geom.l
-    cap = _cap_factor * math.pi * (count + 8) / geom.l
-
     f = lambda k: secular_positive(t, geom, k)
     df = lambda k: secular_positive_deriv(t, geom, k)
     d2f = lambda k: _secular_deriv2(t, geom, k, False)
-
-    def emit(root: _Root) -> Level:
-        mult, note = _positive_multiplicity(rep, geom, root.x)
-        if root.touching and mult == 1:
-            note = "even-order secular root with one-dimensional null space"
-        return Level("positive", root.x, root.x**2, mult, note)
-
+    # the secular function vanishes at every root, so its null space is never empty
+    mult = lambda ks: np.maximum(null_dims(*regular_matrix(rep, geom, ks)), 1)
     levels: list[Level] = []
-    # the uniform grid starts one step in; a tiny first root can hide below it
-    noise_floor = 1e-12 * float(_secular_scale(t, geom, 0.0))
-    for root in _sweep(f, df, np.geomspace(step * 1e-4, step, 48), xtol, noise_floor):
-        levels.append(emit(root))
-
-    lo = step
-    window = math.pi * (count + 8) / geom.l
-    while len(levels) < count:
-        if lo >= cap:
-            raise ScanExhausted(
-                f"found {len(levels)} of {count} positive levels below k l = {cap * geom.l:.1f}"
-            )
-        hi = min(lo + window, cap)
-        for root in _scan_window_counted(
-            f,
-            df,
-            d2f,
-            lo,
-            hi,
-            step,
-            xtol,
-            touch_radius=2e-7 / geom.l,
-            vertex_margin=2.0,
-            density=geom.l / math.pi,
-        ):
-            levels.append(emit(root))
-            if len(levels) == count:
-                break
-        lo = hi + step * 1e-3
-    return levels[:count]
+    for root, m in positive_roots(f, df, d2f, geom.l, count, mult, _noise_floor(t, geom), 2e-7 / geom.l, 2.0):
+        note = "even-order secular root with one-dimensional null space" if root.touching and m == 1 else None
+        levels.append(Level("positive", root.x, root.x**2, m, note))
+    return levels
 
 
-def _negative_kappa_max(t: SpectralTriple, geom: Geometry) -> float:
+def negative_search_bound(t: SpectralTriple, geom: Geometry) -> float:
     """Search bound for the negative sector, extended until the tail sign settles."""
     c_plus = math.cos(t.xi) + t.alpha_r
     sin_xi = math.sin(t.xi)
@@ -650,61 +328,36 @@ def _negative_kappa_max(t: SpectralTriple, geom: Geometry) -> float:
 def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:
     """All negative-energy levels (at most two exist)."""
     t = _as_triple(triple)
-    rep = triple_to_matrix(t)
-    kmax = _negative_kappa_max(t, geom)
-    xtol = ROOT_XTOL_FACTOR / geom.l
-
-    f = lambda x: secular_negative(t, geom, x)
-    df = lambda x: secular_negative_deriv(t, geom, x)
-    d2f = lambda x: _secular_deriv2(t, geom, x, True)
-
-    kappa_min = 1e-7 / geom.l0
-    # geometric prefix resolves roots much smaller than 1/L0; values below the
-    # rounding floor carry no sign information (e.g. a degenerate zero mode
-    # makes the function vanish to fourth order at kappa = 0)
-    noise_floor = 1e-12 * float(_secular_scale(t, geom, 0.0))
-    grid_lo = np.geomspace(kappa_min, min(0.5 / geom.l0, 0.5 * kmax), 64)
-    roots = _sweep(f, df, grid_lo, xtol, noise_floor)
-    step = min(geom.l, geom.l0) / 64.0
-    kfine = min(kmax, max(10.0 / geom.l0, 10.0 / geom.l))
-    roots.extend(
-        _scan_roots(f, df, d2f, grid_lo[-1], kfine, step, xtol, touch_radius=2e-7 / geom.l, vertex_margin=2.0)
+    l = geom.l
+    # e^{-kappa l} G: the same saturation as secular_negative keeps deep values finite
+    decay = lambda x: np.exp(-np.minimum(np.asarray(x) * l, EXP_SATURATION))
+    f = lambda x: secular_negative(t, geom, x) * decay(x)
+    df = lambda x: (secular_negative_deriv(t, geom, x) - l * secular_negative(t, geom, x)) * decay(x)
+    d2f = lambda x: decay(x) * (
+        _secular_deriv2(t, geom, x, True)
+        - 2.0 * l * secular_negative_deriv(t, geom, x)
+        + l * l * secular_negative(t, geom, x)
     )
-    if kmax > kfine * 1.01:
-        # a solitary deep level (tiny cos xi + alpha_r) sits far out; covered
-        # by a geometric tail scan with plain sign-change refinement
-        roots.extend(_sweep(f, df, np.geomspace(kfine, kmax, 512), xtol, noise_floor))
-
-    levels: list[Level] = []
-    seen: list[float] = []
-    for r in sorted(roots, key=lambda r: r.x):
-        if seen and abs(r.x - seen[-1]) < 8 * xtol:
-            continue
-        seen.append(r.x)
-        mat = negative_secular_matrix(rep, geom, r.x)
-        if not np.all(np.isfinite(mat)):
-            mult = 1  # entries beyond float range: certainly not the all-zero degenerate case
-        else:
-            s = np.linalg.svd(mat, compute_uv=False)
-            scale = 4.0 * (1.0 + math.exp(min(r.x * geom.l, 50.0))) * (1.0 + r.x * geom.l0)
-            mult = 2 if s[0] < RANK_TOL * scale else 1
-        levels.append(Level("negative", r.x, -(r.x**2), mult))
-    if len(levels) > 2:
-        raise InternalInvariant(f"negative sector produced {len(levels)} levels; at most 2 exist")
+    # below the noise floor values carry no sign information (a degenerate zero
+    # mode makes the function vanish to fourth order at kappa = 0); levels
+    # below kappa = 1e-7/L0 are left to the zero-mode test
+    kmax = negative_search_bound(t, geom)
+    roots = negative_roots(f, df, d2f, l, 1e-7 / geom.l0, kmax, _noise_floor(t, geom))
+    ks = np.array([r.x for r in roots])
+    if ks.size > 2:
+        raise InternalInvariant(f"negative sector produced {ks.size} levels; at most 2 exist")
+    mults = np.maximum(null_dims(*regular_matrix(triple_to_matrix(t), geom, ks, True)), 1)
+    levels = [Level("negative", float(k), -float(k) ** 2, int(m)) for k, m in zip(ks, mults)]
     levels.sort(key=lambda lv: lv.energy)
     return levels
 
 
 def zero_level(triple: SpectralTriple, geom: Geometry, tol: float = 1e-10) -> Level | None:
-    """The E = 0 level if present, with multiplicity from the linear-ansatz matrix."""
+    """The E = 0 level if present, with multiplicity from the k = 0 boundary matrix."""
     t = _as_triple(triple)
     if not zero_mode_exists(t, geom, tol):
         return None
-    rep = triple_to_matrix(t)
-    s = np.linalg.svd(zero_secular_matrix(rep, geom), compute_uv=False)
-    scale = max(4.0 * (1.0 + geom.l + geom.l0), s[0])
-    mult = 2 if s[0] < RANK_TOL * scale else 1
-    return Level("zero", 0.0, 0.0, mult)
+    return Level("zero", 0.0, 0.0, max(int(null_dims(*regular_matrix(triple_to_matrix(t), geom, 0.0))), 1))
 
 
 def full_spectrum(u, geom: Geometry, count: int = 20, tol: float = 1e-10) -> Spectrum:
@@ -931,33 +584,39 @@ def boundary_residual(u: CharacteristicMatrix, geom: Geometry, f: Eigenfunction)
     return float(np.linalg.norm(r))
 
 
+def _plane_wave_null(u: CharacteristicMatrix, geom: Geometry, sector: str, k: float):
+    """Null dimension and right singular vectors (a, b) at one level, the most null last.
+
+    The coefficients are those of Eigenfunction.  The positive and zero
+    sectors convert the null vectors (A, B) of regular_matrix through
+    (A, B) = (a + b, i k (a - b)), resp. (a, b) = (A, B) at k = 0.  In the
+    negative sector the conversion would cancel cosh against sinh and lose
+    the part of psi below e^{-kappa l}, so there the matrix is built on the
+    bounded basis (e^{kappa (x - l)}, e^{-kappa x}) instead.
+    """
+    if sector == "negative":
+        e = math.exp(-k * geom.l)
+        vals = np.array([[e, 1.0], [1.0, e]])
+        ders = k * np.array([[e, -1.0], [-1.0, e]])
+        dim, vecs = null_space(*boundary_matrix(to_matrix(u), geom.l0, vals, ders))
+        return dim, vecs * np.array([e, 1.0])
+    dim, vecs = null_space(*regular_matrix(u, geom, k))
+    if sector == "positive":
+        vecs = 0.5 * (vecs[:, :1] + np.array([-1j, 1j]) / k * vecs[:, 1:])
+    return dim, vecs
+
+
 def eigenfunction(u: CharacteristicMatrix, geom: Geometry, level: Level) -> list[Eigenfunction]:
     """Orthonormal eigenfunctions spanning one level (list length = multiplicity)."""
-    if level.sector == "positive":
-        mat = secular_matrix(u, geom, level.wavenumber)
-        scale = _matrix_norm_scale(geom, level.wavenumber)
-    elif level.sector == "negative":
-        mat = negative_secular_matrix(u, geom, level.wavenumber)
-        scale = 4.0 * (1.0 + math.exp(min(level.wavenumber * geom.l, 50.0)))
-    else:
-        mat = zero_secular_matrix(u, geom)
-        scale = max(4.0 * (1.0 + geom.l + geom.l0), np.abs(mat).max())
-    _, s, vh = np.linalg.svd(mat)
-    null_dim = int(np.sum(s < RANK_TOL * scale))
+    null_dim, vecs = _plane_wave_null(u, geom, level.sector, level.wavenumber)
     if null_dim != level.multiplicity:
         raise RankMismatch(
             f"null space dimension {null_dim} != multiplicity {level.multiplicity} "
             f"at {level.sector} wavenumber {level.wavenumber}"
         )
     raw = [
-        Eigenfunction(
-            level.sector,
-            level.wavenumber,
-            complex(np.conj(vh[-1 - i][0])),
-            complex(np.conj(vh[-1 - i][1])),
-            geom.l,
-        )
-        for i in range(level.multiplicity)
+        Eigenfunction(level.sector, level.wavenumber, complex(a), complex(b), geom.l)
+        for a, b in vecs[len(vecs) - level.multiplicity:][::-1]
     ]
     out: list[Eigenfunction] = []
     for f in raw:
@@ -965,13 +624,13 @@ def eigenfunction(u: CharacteristicMatrix, geom: Geometry, level: Level) -> list
             corr = eigenfunction_inner(g, f)
             f = Eigenfunction(f.sector, f.wavenumber, f.a - corr * g.a, f.b - corr * g.b, f.length)
         norm = math.sqrt(max(eigenfunction_inner(f, f).real, 0.0))
-        if norm < 1e-12:
-            raise RankMismatch("degenerate null vectors could not be orthonormalized")
+        if not norm >= 1e-12:  # also nan, once e^{2 kappa l} leaves float range
+            raise RankMismatch("null vectors could not be orthonormalized")
         f = Eigenfunction(f.sector, f.wavenumber, f.a / norm, f.b / norm, f.length)
         out.append(f)
     for f in out:
         res = boundary_residual(u, geom, f)
-        if res > 1e-8 * (1.0 + level.wavenumber * geom.l0):
+        if not res <= 1e-8 * (1.0 + level.wavenumber * geom.l0):
             raise InternalInvariant(
                 f"eigenfunction boundary residual {res:.3e} at {level.sector} "
                 f"wavenumber {level.wavenumber}"
@@ -1086,8 +745,8 @@ def scale_independence_check(
     zs = np.array([np.exp(1j * lv.wavenumber * geom.l) for lv in singlets])
     vecs = []
     for lv in singlets:
-        _, s, vh = np.linalg.svd(secular_matrix(u, geom, lv.wavenumber))
-        vecs.append(vh[-1])
+        v = _plane_wave_null(u, geom, "positive", lv.wavenumber)[1][-1]
+        vecs.append(v / np.linalg.norm(v))
     center0 = zs[0]
     dists = np.abs(zs - center0)
     if dists.max() < 1e-6:

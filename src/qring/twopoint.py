@@ -11,13 +11,17 @@ both characteristic matrices by one special unitary V preserves the
 spectrum; freezing the second singularity at the exchange matrix
 reproduces the single-singularity circle.
 
-Root finding works on a regularized coefficient basis (cos kx, sin(kx)/k)
-which stays nondegenerate through k = 0: there the matrix reduces exactly
-to the linear-ansatz zero-mode condition, and the continuation k -> -i kappa
-covers the negative sector.  On that basis the determinant is a fixed real
-quadratic form (up to one constant phase) in (cos kh, sin(kh)/k, k sin kh),
-h = l/2, so the secular function and its derivatives are evaluated in
-closed form.  The textbook plane-wave matrix is exposed as BlockSecular for
+Levels come from the regularized boundary matrix (U - I) V + i L0 (U + I) D
+on the coefficient basis (cos kx, sin(kx)/k) of each component, the form
+the one-point solver uses.  It stays nondegenerate through k = 0, where it
+is exactly the linear-ansatz zero-mode condition, and the continuation
+k -> -i kappa covers the negative sector, with the rows of the joint at
+l/2 scaled by e^{-kappa l/2} (U is block-diagonal, so the rank is kept).
+On that basis the determinant is a fixed real quadratic form (up to one
+constant phase) in (cos kh, sin(kh)/k, k sin kh), h = l/2, so the secular
+function and its derivatives are evaluated in closed form; the shared
+engine (qring.engine) finds its roots and reads multiplicities off the
+matrix.  The textbook plane-wave matrix is exposed as BlockSecular for
 inspection; both share their zeros at k > 0.
 """
 from __future__ import annotations
@@ -28,16 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSpecialUnitary, ScanExhausted
-from .spectrum import (
-    Level,
-    Spectrum,
-    _basis_jets,
-    _negative_kappa_max,
-    _scan_roots,
-    _scan_window_counted,
-    _sweep,
-)
+from .engine import basis_jets, boundary_matrix, negative_roots, null_dims, positive_roots
+from .errors import NotSpecialUnitary
+from .spectrum import Level, Spectrum, negative_search_bound
 from .u2 import (
     SIGMA3,
     CharacteristicMatrix,
@@ -47,10 +44,6 @@ from .u2 import (
     to_matrix,
     unitarity_defect,
 )
-
-RANK_TOL = 1e-8
-MERIT_ROOT_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class TwoPointSystem:
@@ -133,45 +126,42 @@ def block_secular(sys: TwoPointSystem, k: float) -> BlockSecular:
     return BlockSecular(k, t_k, SIGMA3_BLOCK.copy(), u, m, merit)
 
 
-def _regular_matrix(sys: TwoPointSystem, k: complex) -> np.ndarray:
-    """Boundary matrix on the (cos kx, sin(kx)/k) coefficient basis.
+def _edges(c, s, t):
+    """Values V and outward derivatives D of the doubled basis at u = (c, s, t).
+
+    u = (cos kh, sin(kh)/k, k sin kh), h = l/2, possibly stacked.  Rows 1-2
+    (the joint at x = 0) are constant and rows 3-4 (the joint at l/2) are
+    linear in u.
+    """
+    c, s, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (c, s, t)))
+    one, zero = np.ones_like(c), np.zeros_like(c)
+    shape = c.shape + (4, 4)
+    vals = np.stack([one, zero, zero, zero, zero, zero, one, zero, c, s, zero, zero, zero, zero, c, s], -1)
+    ders = np.stack([zero, one, zero, zero, zero, zero, zero, one, -t, c, zero, zero, zero, zero, -t, c], -1)
+    return vals.reshape(shape), ders.reshape(shape)
+
+
+def regular_matrix(sys: TwoPointSystem, k, hyperbolic: bool = False):
+    """Boundary matrix and envelope on the (cos kx, sin(kx)/k) coefficient basis.
 
     Entire in k^2: at k = 0 it is exactly the linear-ansatz matrix, and
-    k = -i kappa gives the negative sector with hyperbolic entries.
+    ``hyperbolic`` gives the negative sector at k -> -i kappa, with rows 3-4
+    times e^{-kappa l/2}.  Vectorized over k.
     """
-    half = sys.geometry.l / 2.0
-    kh = k * half
-    if abs(kh) < 1e-8:
-        c = 1.0 - kh**2 / 2.0
-        s = half * (1.0 - kh**2 / 6.0)
-    else:
-        c = np.cos(kh)
-        s = np.sin(kh) / k
-    return _basis_matrix(sys, c, s, k * k * s)
-
-
-def _basis_matrix(sys: TwoPointSystem, c, s, t) -> np.ndarray:
-    """The regularized matrix at u = (c, s, t) = (cos kh, sin(kh)/k, k sin kh), h = l/2.
-
-    Rows 1-2 (the joint at x = 0) are constant and rows 3-4 (the joint at
-    l/2) are linear in u.
-    """
-    rows_val = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [c, s, 0, 0], [0, 0, c, s]], dtype=complex)
-    rows_der = np.array([[0, 1, 0, 0], [0, 0, 0, 1], [-t, c, 0, 0], [0, 0, -t, c]], dtype=complex)
-    u = sys.block_matrix()
-    eye = np.eye(4)
-    return (u - eye) @ rows_val + 1j * sys.geometry.l0 * (u + eye) @ rows_der
+    c, s, t = basis_jets(k, sys.geometry.l / 2.0, hyperbolic)[0]
+    return boundary_matrix(sys.block_matrix(), sys.geometry.l0, *_edges(c, s, t))
 
 
 def _secular_form(sys: TwoPointSystem) -> tuple[complex, np.ndarray]:
-    """(rotation, A) with det _basis_matrix(u) = rotation * u^T A u, A real symmetric.
+    """(rotation, A) with det of the matrix at u = rotation * u^T A u, A real symmetric.
 
     The determinant is linear in each of rows 3-4, hence a quadratic form
     whose coefficient of u_i u_j is the determinant with row 3 taken at
     u = e_i and row 4 at u = e_j.  Its coefficients share one unimodular
     phase, so the real form vanishes exactly where the matrix is singular.
     """
-    unit = [_basis_matrix(sys, *e) for e in np.eye(3)]
+    block = sys.block_matrix()
+    unit = [boundary_matrix(block, sys.geometry.l0, *_edges(*e))[0] for e in np.eye(3)]
     coef = np.linalg.det(
         np.array([[np.vstack([unit[0][:2], unit[i][2], unit[j][3]]) for j in range(3)] for i in range(3)])
     )
@@ -191,7 +181,7 @@ def _real_secular(form: np.ndarray, geom: Geometry, hyperbolic: bool, order: int
     w = geom.l if hyperbolic else 0.0
 
     def g(k):
-        u = _basis_jets(k, geom.l / 2.0, hyperbolic)
+        u = basis_jets(k, geom.l / 2.0, hyperbolic)
         q = lambda i, j: np.einsum("i...,ij,j...->...", u[i], form, u[j])
         if order == 0:
             return q(0, 0)
@@ -202,104 +192,49 @@ def _real_secular(form: np.ndarray, geom: Geometry, hyperbolic: bool, order: int
     return g
 
 
-def _level_multiplicity(sys: TwoPointSystem, mu: complex) -> tuple[int, float]:
-    mat = _regular_matrix(sys, mu)
-    # row equilibration: deep-kappa hyperbolic rows otherwise swamp the
-    # rank threshold of the O(1) rows
-    scale = np.maximum(np.abs(mat).max(axis=-1, keepdims=True), 1e-300)
-    s = np.linalg.svd(mat / scale, compute_uv=False)
-    mult = int(np.sum(s < RANK_TOL * s[0]))
-    return max(mult, 1), float(s[-1] / s[0])
-
-
 def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     """Negative, zero, and the lowest ``count`` positive levels of the pair.
 
-    Roots of the closed-form real secular function (_secular_form) are
-    refined across sign changes and through-derivative touches by the
-    scanner the one-point solver uses; multiplicity is the rank deficiency of the boundary
-    matrix at the root.
+    Roots of the closed-form real secular function (_secular_form) come
+    from the engine the one-point solver uses; a root is kept when the
+    boundary matrix there has a null space, whose dimension is the
+    multiplicity.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     geom = sys.geometry
-    step = math.pi / (8.0 * geom.l)
-    xtol = 1e-13 / geom.l
-    cap = 4.0 * math.pi * (count + 8) / geom.l
     _, form = _secular_form(sys)
+    dims = lambda k, hyperbolic=False: null_dims(*regular_matrix(sys, k, hyperbolic))
 
     levels: list[Level] = []
-
-    # zero sector: the regularized matrix at k = 0 is the linear-ansatz condition
-    s0 = np.linalg.svd(_regular_matrix(sys, 0.0), compute_uv=False)
-    if s0[-1] < MERIT_ROOT_TOL * s0[0]:
-        mult = int(np.sum(s0 < RANK_TOL * s0[0]))
-        levels.append(Level("zero", 0.0, 0.0, max(mult, 1)))
+    zero_dim = int(dims(0.0))
+    if zero_dim:
+        levels.append(Level("zero", 0.0, 0.0, zero_dim))
 
     # negative sector; deep levels localize at one singularity, so the
     # one-singularity adaptive search bound of either constituent applies.
     # The doubled state takes outward derivatives at l/2, where the second
     # singularity therefore binds like U2^dagger.
-    fneg, dfneg, d2fneg = (_real_secular(form, geom, True, n) for n in range(3))
     u2_dagger = from_matrix(to_matrix(sys.u2).conj().T)
     kmax = 2.0 * max(
         10.0 / geom.l0,
         10.0 / geom.l,
-        *(_negative_kappa_max(spectral_triple(u), geom) for u in (sys.u1, sys.u2, u2_dagger)),
+        *(negative_search_bound(spectral_triple(u), geom) for u in (sys.u1, sys.u2, u2_dagger)),
     )
-    # hyperbolic entries of the rank check at kappa l / 2 must stay inside float range
-    kmax = min(kmax, 1200.0 / geom.l)
-    pre = np.geomspace(1e-6 / geom.l0, min(0.5 / geom.l0, 0.5 * kmax), 96)
-    roots = _sweep(fneg, dfneg, pre, xtol, 0.0) + _scan_roots(
-        fneg, dfneg, d2fneg, pre[-1], kmax, (kmax - pre[-1]) / 512, xtol, touch_radius=4e-7 / geom.l
-    )
-    for root in roots:
-        if any(lv.sector == "negative" and abs(lv.wavenumber - root.x) < 1e-7 for lv in levels):
-            continue
-        mult, merit = _level_multiplicity(sys, -1j * root.x)
-        if merit < MERIT_ROOT_TOL:
-            levels.append(Level("negative", root.x, -(root.x**2), mult))
+    # the form's coefficients carry rounding errors that move a zero mode's
+    # double root at kappa = 0 out to about 1e-8 / sqrt(l L0): the scan starts above
+    kappa_lo = 1e-6 / math.sqrt(geom.l * geom.l0)
+    fneg, dfneg, d2fneg = (_real_secular(form, geom, True, n) for n in range(3))
+    ks = np.array([r.x for r in negative_roots(fneg, dfneg, d2fneg, geom.l, kappa_lo, kmax, 0.0)])
+    levels.extend(Level("negative", float(k), -float(k) ** 2, int(m)) for k, m in zip(ks, dims(ks, True)) if m)
 
     # positive sector, windowed, with eigenvalue-count verification: the
     # level pairs of weakly coupled halves close like 1/k and eventually
     # hide inside one grid cell without any local signature
     fpos, dfpos, d2fpos = (_real_secular(form, geom, False, n) for n in range(3))
-    positives: list[Level] = []
-    floor = 1e-12 * max(1.0, abs(float(fpos(step))))
-    for root in _sweep(fpos, dfpos, np.geomspace(step * 1e-4, step, 48), xtol, floor):
-        mult, merit = _level_multiplicity(sys, root.x)
-        if merit < MERIT_ROOT_TOL:
-            positives.append(Level("positive", root.x, root.x**2, mult))
-
-    lo = step
-    window = math.pi * (count + 8) / geom.l
-    while len(positives) < count:
-        if lo >= cap:
-            raise ScanExhausted(
-                f"found {len(positives)} of {count} positive levels below k l = {cap * geom.l:.1f}"
-            )
-        hi = min(lo + window, cap)
-        for root in _scan_window_counted(
-            fpos,
-            dfpos,
-            d2fpos,
-            lo,
-            hi,
-            step,
-            xtol,
-            touch_radius=4e-7 / geom.l,
-            vertex_margin=math.inf,
-            density=geom.l / math.pi,
-        ):
-            if positives and abs(root.x - positives[-1].wavenumber) < 1e-8 / geom.l:
-                continue
-            mult, merit = _level_multiplicity(sys, root.x)
-            if merit < MERIT_ROOT_TOL:
-                positives.append(Level("positive", root.x, root.x**2, mult))
-                if len(positives) == count:
-                    break
-        lo = hi + 1e-3 * step
-    levels.extend(positives[:count])
+    floor = 1e-12 * max(1.0, abs(float(fpos(math.pi / (8.0 * geom.l)))))
+    for root, m in positive_roots(fpos, dfpos, d2fpos, geom.l, count, dims, floor, 4e-7 / geom.l, math.inf):
+        levels.append(Level("positive", root.x, root.x**2, m))
     levels.sort(key=lambda lv: lv.energy)
     return Spectrum(tuple(levels), provenance=None, max_negative=4)
 

@@ -179,6 +179,21 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "spectrum", "--u", '{"xi": 0, "alpha": [1,0], "beta": [0,0], "bogus": 1}')
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--u", EXCHANGE_JSON, "--levels", "0"),
+            ("twopoint", "--u1", EXCHANGE_JSON, "--u2", EXCHANGE_JSON, "--levels", "-1"),
+            ("kernel", "--family", "box", "--grid", "0"),
+            ("kernel", "--family", "smooth", "--grid", "-1"),
+        ],
+    )
+    def test_levels_and_grid_bounded_at_parse_time(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be at least 1" in err
+
     def test_non_unitary_matrix_is_numeric_failure(self, capsys):
         code, _, err = run_cli(
             capsys, "spectrum", "--u", '{"matrix": [[[1,0],[0.5,0]],[[0,0],[1,0]]]}'

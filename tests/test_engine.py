@@ -1,0 +1,89 @@
+import math
+import time
+
+import numpy as np
+import pytest
+
+from qring import engine, spectrum, twopoint
+from qring.spectrum import negative_levels, positive_levels, regular_matrix
+from qring.twopoint import TwoPointSystem, spectrum2
+from qring.u2 import SIGMA1, Geometry, SpectralTriple, from_matrix, haar_random, spectral_triple, triple_to_matrix
+
+EXCHANGE = from_matrix(SIGMA1)
+GEOM = Geometry(1.0, 1.0)
+
+
+def sweep_matrices():
+    rng = np.random.default_rng(3)
+    return [haar_random(rng) for _ in range(3)] + [
+        triple_to_matrix(SpectralTriple(0.0, 0.5, 0.0)),  # binds at x = 0 only
+        triple_to_matrix(SpectralTriple(1.0, math.cos(0.3), 0.0)),  # separated, binds on both sides
+    ]
+
+
+class TestNegativeScanBounded:
+    def test_grid_and_time_do_not_grow_with_the_geometry(self, monkeypatch):
+        # the largest array handed to a negative-sector secular function is the
+        # same at every L0/l, and every call stays fast
+        largest: dict[str, int] = {}
+        secular_negative = spectrum.secular_negative
+        basis_jets = twopoint.basis_jets
+
+        def one_point(t, geom, kappa):
+            largest["one"] = max(largest.get("one", 0), np.size(kappa))
+            return secular_negative(t, geom, kappa)
+
+        def two_point(k, h, hyperbolic):
+            if hyperbolic:
+                largest["two"] = max(largest.get("two", 0), np.size(k))
+            return basis_jets(k, h, hyperbolic)
+
+        monkeypatch.setattr(spectrum, "secular_negative", one_point)
+        monkeypatch.setattr(twopoint, "basis_jets", two_point)
+        sizes = set()
+        for l0 in 10.0 ** np.arange(-6, 7):
+            geom = Geometry(1.0, float(l0))
+            largest.clear()
+            for u in sweep_matrices():
+                start = time.perf_counter()
+                neg = negative_levels(spectral_triple(u), geom)
+                pair = spectrum2(TwoPointSystem(u, EXCHANGE, geom), 3)
+                assert time.perf_counter() - start < 2.0
+                assert all(lv.multiplicity == 1 for lv in neg)
+                # the pair (U, exchange) is the one-point circle, bound states included
+                ks = sorted(lv.wavenumber for lv in neg)
+                assert sorted(pair.negative_wavenumbers()) == pytest.approx(ks, rel=1e-10)
+            sizes.add((largest["one"], largest["two"]))
+        assert sizes == {(engine.NEGATIVE_GRID_POINTS, engine.NEGATIVE_GRID_POINTS)}
+
+    @pytest.mark.parametrize("l0", [1e-3, 1e-4])
+    def test_separated_level_deep_at_the_far_side_is_simple(self, l0):
+        # U = diag(e^{1.3 i}, e^{0.7 i}) binds at x = 0 with kappa L0 = tan 0.65 and
+        # at x = l with kappa L0 = tan 0.35.  At kappa l ~ 365 and ~ 3650 the x = 0
+        # row of the e^{-kappa l}-scaled matrix is tiny or floored, and the row
+        # equilibration keeps it in the rank
+        geom = Geometry(1.0, l0)
+        levels = negative_levels(SpectralTriple(1.0, math.cos(0.3), 0.0), geom)
+        ks = sorted(lv.wavenumber for lv in levels)
+        assert ks == pytest.approx([math.tan(0.35) / l0, math.tan(0.65) / l0], rel=1e-12)
+        assert [lv.multiplicity for lv in levels] == [1, 1]
+
+
+class TestRankRule:
+    def test_null_dims_of_one_window(self):
+        rng = np.random.default_rng(11)
+        u = haar_random(rng)
+        ks = np.array([lv.wavenumber for lv in positive_levels(spectral_triple(u), GEOM, 6)])
+        assert list(engine.null_dims(*regular_matrix(u, GEOM, ks))) == [1] * 6
+        between = 0.5 * (ks[:-1] + ks[1:])
+        assert list(engine.null_dims(*regular_matrix(u, GEOM, between))) == [0] * 5
+        doublets = 2 * math.pi * np.arange(1, 4) / GEOM.l
+        assert list(engine.null_dims(*regular_matrix(EXCHANGE, GEOM, doublets))) == [2, 2, 2]
+
+    def test_envelope_bounds_every_entry(self):
+        rng = np.random.default_rng(12)
+        u = haar_random(rng)
+        for hyperbolic in (False, True):
+            mat, env = regular_matrix(u, GEOM, np.linspace(0.0, 30.0, 31), hyperbolic)
+            assert np.all(np.abs(mat) <= env * (1 + 1e-15))
+

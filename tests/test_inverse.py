@@ -229,3 +229,12 @@ class TestRecoverParameters:
         res = recover_parameters(prefix)
         assert res.case == "ambiguous"
         assert triple_error(res.triple, SpectralTriple(math.pi / 2, 0.0, -1.0)) < 1e-12
+
+    def test_routes_agree_across_the_chart_seam(self):
+        # just below xi = pi the fit may land on the equivalent (0, -aR, -bI);
+        # the routes still agree and the analytic chart is returned
+        truth = SpectralTriple(math.pi - 1e-9, 0.3, 0.2)
+        res = recover_parameters(forward_prefix(truth, 200))
+        assert not any("disagree" in w for w in res.warnings)
+        assert triple_error(res.triple, truth) < 1e-6
+        assert res.triple == res.asymptotic_triple

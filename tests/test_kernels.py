@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ class TestBoxKernel:
             box_kernel((0, 0), GEOM, KernelQuery(0.2, 0.7, 1.0))
         k = box_kernel((0, 0), GEOM, KernelQuery(0.2, 0.7, 1.0, n_max=8))
         assert np.isfinite(k.real)
+
+    def test_euclidean_budget_below_the_tail_bound_warns(self):
+        # at tau = 1 the Gaussian tail needs several shells of period 2 l
+        capped = KernelQuery(0.2, 0.7, -1.0j, n_max=1)
+        with pytest.warns(TruncationWarning, match="n_max = 1"):
+            short = box_kernel((0, 0), GEOM, capped)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full = box_kernel((0, 0), GEOM, KernelQuery(0.2, 0.7, -1.0j, n_max=1000))
+            assert full == box_kernel((0, 0), GEOM, euclidean_query(0.2, 0.7, 1.0))
+        assert abs(short - full) > 1e-6
 
 
 class TestSmoothKernel:

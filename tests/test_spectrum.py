@@ -12,11 +12,10 @@ from qring.spectrum import (
     eigenfunction_inner,
     full_spectrum,
     negative_levels,
-    negative_secular_matrix,
     positive_levels,
     probability_current,
+    regular_matrix,
     scale_independence_check,
-    secular_matrix,
     secular_negative,
     secular_negative_deriv,
     secular_positive,
@@ -96,7 +95,8 @@ class TestSecularFunction:
 
 class TestSecularMatrix:
     def test_matrix_matches_boundary_condition(self):
-        # the explicit entries against (U - I) tau - k L0 (U + I) s3 tau s3
+        # through the column change (A, B) = (a + b, i k (a - b)) the regularized
+        # matrix is the textbook (U - I) tau - k L0 (U + I) s3 tau s3
         from qring.u2 import to_matrix
 
         rng = np.random.default_rng(2)
@@ -108,7 +108,8 @@ class TestSecularMatrix:
             direct = (to_matrix(u) - np.eye(2)) @ tau - k * (to_matrix(u) + np.eye(2)) @ (
                 s3 @ tau @ s3
             )
-            explicit = np.exp(1j * u.xi) * secular_matrix(u, GEOM, k)
+            columns = np.array([[1, 1], [1j * k, -1j * k]])
+            explicit = regular_matrix(u, GEOM, k)[0] @ columns
             assert np.abs(direct - explicit).max() < 1e-12
 
     def test_determinant_vanishes_exactly_at_secular_roots(self):
@@ -117,7 +118,7 @@ class TestSecularMatrix:
             u = haar_random(rng)
             t = spectral_triple(u)
             for lv in positive_levels(t, GEOM, 8):
-                s = np.linalg.svd(secular_matrix(u, GEOM, lv.wavenumber), compute_uv=False)
+                s = np.linalg.svd(regular_matrix(u, GEOM, lv.wavenumber)[0], compute_uv=False)
                 assert s[-1] < 1e-8 * (1 + lv.wavenumber)
 
     def test_negative_matrix_continuation(self):
@@ -126,7 +127,7 @@ class TestSecularMatrix:
         t = SpectralTriple(0.0, 0.6, 0.0)
         (lv,) = negative_levels(t, GEOM)
         s = np.linalg.svd(
-            negative_secular_matrix(triple_to_matrix(t), GEOM, lv.wavenumber), compute_uv=False
+            regular_matrix(triple_to_matrix(t), GEOM, lv.wavenumber, hyperbolic=True)[0], compute_uv=False
         )
         assert s[-1] < 1e-10 * s[0]
 
@@ -320,7 +321,7 @@ class TestDegeneracyAt:
                         found = True
                         u = CharacteristicMatrix(xi, a_r, 1j * beta_i)
                         rep = degeneracy_at(u, GEOM, tol=1e-6)
-                        s = np.linalg.svd(secular_matrix(u, GEOM, k), compute_uv=False)
+                        s = np.linalg.svd(regular_matrix(u, GEOM, k)[0], compute_uv=False)
                         # near the degeneracy point the whole matrix collapses
                         assert s[0] < 1e-2 * (1 + k)
                         if found:

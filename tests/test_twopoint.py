@@ -10,7 +10,6 @@ from qring.spectrum import full_spectrum
 from qring.twopoint import (
     TwoPointSystem,
     _real_secular,
-    _regular_matrix,
     _secular_form,
     block_secular,
     conjugate_pair,
@@ -18,6 +17,7 @@ from qring.twopoint import (
     doubled_state,
     isospectral_group_of,
     reassemble_state,
+    regular_matrix,
     spectrum2,
 )
 from qring.u2 import (
@@ -111,11 +111,13 @@ class TestSpectrum2:
             assert lv.multiplicity == 2
 
     @SMALL
-    @given(seeds)
-    def test_free_second_joint_reduces_to_one_singularity(self, seed):
+    @given(seeds, st.floats(-4.0, 4.0))
+    def test_free_second_joint_reduces_to_one_singularity(self, seed, log_l0):
+        # L0/l over [1e-4, 1e4]: bound states down to kappa l of order 1e4 included
+        geom = Geometry(GEOM.l, float(10.0**log_l0))
         u1 = haar_random(np.random.default_rng(seed))
-        two = spectrum2(TwoPointSystem(u1, FREE, GEOM), 15)
-        assert_same_levels(two, full_spectrum(u1, GEOM, 15), 1e-10)
+        two = spectrum2(TwoPointSystem(u1, FREE, geom), 15)
+        assert_same_levels(two, full_spectrum(u1, geom, 15), 1e-10)
 
     @SMALL
     @given(seeds)
@@ -157,9 +159,9 @@ class TestSecularForm:
         sys, _ = haar_pair(seed, geom)
         rotation, form = _secular_form(sys)
         f = [_real_secular(form, geom, False, 0), _real_secular(form, geom, True, 0)]
-        # times e^{kappa l}, undoing the overflow scaling of the negative sector
-        for k, q in ((kl, f[0](kl)), (-1j * kappa_l, f[1](kappa_l) * math.exp(kappa_l)), (0.0, f[0](0.0))):
-            mat = _regular_matrix(sys, k)
+        # the hyperbolic matrix carries the same e^{-kappa l} scaling as the form
+        for k, hyperbolic, q in ((kl, False, f[0](kl)), (kappa_l, True, f[1](kappa_l)), (0.0, False, f[0](0.0))):
+            mat = regular_matrix(sys, k, hyperbolic)[0]
             hadamard = np.prod(np.linalg.norm(mat, axis=0))
             assert abs(rotation * q - np.linalg.det(mat)) <= 1e-10 * hadamard
 
