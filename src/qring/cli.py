@@ -1,6 +1,7 @@
 """Batch front-end: deterministic CSV/JSON runs over all solver modules.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.  All
+Exit codes: 0 success, 2 configuration error (malformed input, unreadable
+files), 3 numeric failure (any error raised inside a solver).  All
 randomized subcommands take --seed; identical configurations produce
 identical output bytes.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import QringError
-from .inverse import SpectrumPrefix, prefix_from_spectrum, recover_parameters
+from .inverse import CLASSIFY_MIN_LEVELS, SpectrumPrefix, prefix_from_spectrum, recover_parameters
 from .io import (
     ConfigError,
     geometry_from_json,
@@ -164,12 +165,17 @@ def cmd_invert(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         levels = levels_from_text(fh.read())
     positive = sorted({lv.wavenumber for lv in levels if lv.sector == "positive"})
-    prefix = SpectrumPrefix(
-        tuple(positive),
-        any(lv.sector == "zero" for lv in levels),
-        tuple(sorted(lv.wavenumber for lv in levels if lv.sector == "negative")),
-        geom,
-    )
+    if len(positive) < CLASSIFY_MIN_LEVELS:
+        raise ConfigError(f"need at least {CLASSIFY_MIN_LEVELS} positive levels to invert, got {len(positive)}")
+    try:
+        prefix = SpectrumPrefix(
+            tuple(positive),
+            any(lv.sector == "zero" for lv in levels),
+            tuple(sorted(lv.wavenumber for lv in levels if lv.sector == "negative")),
+            geom,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"spectrum file: {exc}") from exc
     result = recover_parameters(prefix, seed=args.seed)
     payload = {"case": result.case, "warnings": list(result.warnings)}
     if args.method in ("asymptotic", "both"):
@@ -197,7 +203,10 @@ def cmd_kernel(args) -> int:
     geom = geometry_from_json(_json_arg(args.geometry))
     xs = (np.arange(args.grid) + 0.5) * geom.l / args.grid
     b, a = np.meshgrid(xs, xs, indexing="ij")
-    q = kernels.euclidean_query(a, b, args.tau)
+    try:
+        q = kernels.euclidean_query(a, b, args.tau)
+    except ValueError as exc:
+        raise ConfigError(f"--tau: {exc}") from exc
     if args.family == "box":
         case = {
             "00": (0.0, 0.0),
@@ -324,10 +333,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except QringError as exc:
+    except (QringError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -5,9 +5,13 @@ a constant phase and a positive factor, the determinant of the boundary
 matrix (U - I) V + i L0 (U + I) D, where V and D hold the values and the
 outward derivatives of the regularized basis (cos kx, sin(kx)/k) at the
 joints.  The basis stays regular through k = 0, and k -> -i kappa continues
-it into the negative sector.  The solvers supply the secular function, its
-first two derivatives and their boundary matrices; this module
+it into the negative sector.  For one singularity and for two, that function
+is a fixed real quadratic form u^T A u on the jets
+u = (cos kh, sin(kh)/k, k sin kh), h = l/2 (basis_jets); the solvers supply
+A and their boundary matrices, and this module
 
+* evaluates the form and its first two k-derivatives from one jets call
+  (secular), e^{-kappa l}-scaled in the negative sector;
 * scans k > 0 window by window (positive_roots), checking the number of
   roots found against their asymptotic density and rescanning finer on a
   deficit;
@@ -15,6 +19,9 @@ first two derivatives and their boundary matrices; this module
   the negative sector does not depend on the geometry;
 * reads multiplicities off the boundary matrices of a whole window at once
   (null_dims).
+
+Every scanner takes the secular function as one callable g(x, n) returning
+the stacked values [f, f', ..., f^(n)] at x (n <= 2), as secular builds it.
 """
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ ROOT_XTOL_FACTOR = 1e-13       # |dk| * l target for refined roots
 ROOT_VALUE_TOL = 1e-10         # |f| below this (times the local magnitude) counts as a touching root
 RANK_TOL = 1e-8                # singular-value threshold on the row-equilibrated boundary matrix
 NEGATIVE_GRID_POINTS = 641     # 32 per decade over 20 decades
+SERIES_KH = 0.1                # below this k h the sin(kh)/k jets come from their Taylor series
 
 
 @dataclass(frozen=True)
@@ -38,12 +46,13 @@ class Root:
     touching: bool  # located as a zero-value extremum rather than a sign change
 
 
-def refine(f, df, lo, hi, flo, xtol):
+def refine(g, lo, hi, flo, xtol):
     """Bracket-safeguarded Newton (rtsafe), vectorized over brackets.
 
-    Each [lo[i], hi[i]] must hold a sign change of f, with flo = f(lo).  A
-    Newton step is taken when it lands inside the current bracket and at
-    most halves the previous step, otherwise the bracket is bisected.  A
+    Each [lo[i], hi[i]] must hold a sign change of f, with flo = f(lo), and
+    g(x, 1) returns (f, f') at x in one call.  A Newton step is taken when
+    it lands inside the current bracket and at most halves the previous
+    step, otherwise the bracket is bisected.  A
     root is done once its Newton step falls below xtol (or a few ulps), or
     its bracket closes; a last step that only rounding noise pushed outside
     the bracket is dropped rather than replaced by a bisection.
@@ -56,8 +65,7 @@ def refine(f, df, lo, hi, flo, xtol):
     last = hi - lo
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(100):  # bisection alone narrows any float bracket to tol within 100 halvings
-        fx = np.asarray(f(x), dtype=float)
-        dfx = np.asarray(df(x), dtype=float)
+        fx, dfx = g(x, 1)
         left = np.sign(fx) == side
         lo = np.where(left, x, lo)
         hi = np.where(left, hi, x)
@@ -74,11 +82,11 @@ def refine(f, df, lo, hi, flo, xtol):
     return x
 
 
-def scan_roots(f, df, d2f, xs, xtol, touch_radius=None, vertex_margin=math.inf, noise_floor=0.0) -> list[Root]:
+def scan_roots(g, xs, xtol, touch_radius=None, vertex_margin=math.inf, noise_floor=0.0) -> list[Root]:
     """All roots of a smooth real function between the points of the grid ``xs``.
 
-    Sign changes are refined by refine on (f, df).  Every derivative sign
-    change is refined on (df, d2f) to its extremum: one sitting on zero is a
+    Sign changes are refined by refine on (f, f').  Every derivative sign
+    change is refined on (f', f'') to its extremum: one sitting on zero is a
     touching (even-order) root, and one that dips across zero in a cell
     without a sign change hides a pair of closely spaced simple roots that
     the grid could not separate.  All thresholds compare against the
@@ -101,8 +109,7 @@ def scan_roots(f, df, d2f, xs, xtol, touch_radius=None, vertex_margin=math.inf, 
     """
     if touch_radius is None:
         touch_radius = 4 * xtol
-    fv = np.asarray(f(xs), dtype=float)
-    dv = np.asarray(df(xs), dtype=float)
+    fv, dv = g(xs, 1)
     quiet = np.abs(fv) < noise_floor
     quiet_cell = quiet[:-1] & quiet[1:]
 
@@ -115,7 +122,7 @@ def scan_roots(f, df, d2f, xs, xtol, touch_radius=None, vertex_margin=math.inf, 
 
     flips = np.nonzero((sign[:-1] * sign[1:] < 0) & ~exact[:-1] & ~exact[1:] & ~quiet_cell)[0]
     if flips.size:
-        refined = refine(f, df, xs[flips], xs[flips + 1], fv[flips], xtol)
+        refined = refine(g, xs[flips], xs[flips + 1], fv[flips], xtol)
         roots.extend(Root(float(x), touching=False) for x in refined)
 
     # derivative sign changes: candidate touching roots / hidden pairs
@@ -128,8 +135,8 @@ def scan_roots(f, df, d2f, xs, xtol, touch_radius=None, vertex_margin=math.inf, 
         suspicious = vertex * np.sign(fv[dflips]) < vertex_margin * local
         dflips = dflips[suspicious]
     if dflips.size:
-        ext = refine(df, d2f, xs[dflips], xs[dflips + 1], dv[dflips], xtol)
-        val = np.asarray(f(ext), dtype=float)
+        ext = refine(lambda x, n: g(x, n + 1)[1:], xs[dflips], xs[dflips + 1], dv[dflips], xtol)
+        val = g(ext, 0)[0]
         fa, fb = fv[dflips], fv[dflips + 1]
         touching = np.abs(val) < ROOT_VALUE_TOL * np.maximum(np.maximum(np.abs(fa), np.abs(fb)), 1e-300)
         roots.extend(Root(float(x), touching=True) for x in ext[touching])
@@ -139,7 +146,7 @@ def scan_roots(f, df, d2f, xs, xtol, touch_radius=None, vertex_margin=math.inf, 
         pair = ~touching & (sign[dflips] * sign[dflips + 1] > 0) & (np.sign(val) * sign[dflips] < 0)
         if pair.any():
             e = ext[pair]
-            sides = refine(f, df, np.r_[xs[dflips[pair]], e], np.r_[e, xs[dflips[pair] + 1]],
+            sides = refine(g, np.r_[xs[dflips[pair]], e], np.r_[e, xs[dflips[pair] + 1]],
                            np.r_[fa[pair], val[pair]], xtol)
             roots.extend(Root(float(x), touching=False) for x in sides)
 
@@ -158,9 +165,7 @@ def scan_roots(f, df, d2f, xs, xtol, touch_radius=None, vertex_margin=math.inf, 
 
 
 def scan_window_counted(
-    f,
-    df,
-    d2f,
+    g,
     x_lo,
     x_hi,
     step,
@@ -182,7 +187,7 @@ def scan_window_counted(
 
     def scan(step):
         xs = np.linspace(x_lo, x_hi, max(int(math.ceil((x_hi - x_lo) / step)) + 1, 8))
-        return scan_roots(f, df, d2f, xs, xtol, touch_radius, vertex_margin)
+        return scan_roots(g, xs, xtol, touch_radius, vertex_margin)
 
     roots = scan(step)
     expected = (x_hi - x_lo) * density
@@ -195,23 +200,23 @@ def scan_window_counted(
     return roots
 
 
-def sweep(f, df, grid, xtol, noise_floor) -> list[Root]:
+def sweep(g, grid, xtol, noise_floor) -> list[Root]:
     """Roots of f between the points of a grid, by sign changes alone.
 
     Cells whose ends both lie below the rounding floor carry no sign
     information and are skipped.
     """
-    vals = np.asarray(f(grid), dtype=float)
+    vals = g(grid, 0)[0]
     loud = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])) >= noise_floor
     roots = [Root(float(x), touching=False) for x in grid[:-1][loud & (vals[:-1] == 0.0)]]
     flips = np.nonzero(loud & (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))[0]
     if flips.size:
-        refined = refine(f, df, grid[flips], grid[flips + 1], vals[flips], xtol)
+        refined = refine(g, grid[flips], grid[flips + 1], vals[flips], xtol)
         roots.extend(Root(float(x), touching=False) for x in refined)
     return roots
 
 
-def positive_roots(f, df, d2f, l, count, multiplicity, noise_floor, touch_radius, vertex_margin):
+def positive_roots(g, l, count, multiplicity, noise_floor, touch_radius, vertex_margin):
     """The lowest ``count`` accepted roots k > 0, as (Root, multiplicity) pairs.
 
     A geometric prefix resolves roots below the first grid step; windows of
@@ -235,57 +240,104 @@ def positive_roots(f, df, d2f, l, count, multiplicity, noise_floor, touch_radius
         found.extend((r, int(m)) for r, m in zip(kept, mults) if m > 0)
 
     # the uniform grid starts one step in; a tiny first root can hide below it
-    accept(sweep(f, df, np.geomspace(step * 1e-4, step, 48), xtol, noise_floor))
+    accept(sweep(g, np.geomspace(step * 1e-4, step, 48), xtol, noise_floor))
     lo = step
     window = math.pi * (count + 8) / l
     while len(found) < count:
         if lo >= cap:
             raise ScanExhausted(f"found {len(found)} of {count} positive levels below k l = {cap * l:.1f}")
         hi = min(lo + window, cap)
-        accept(scan_window_counted(f, df, d2f, lo, hi, step, xtol, touch_radius, vertex_margin, l / math.pi))
+        accept(scan_window_counted(g, lo, hi, step, xtol, touch_radius, vertex_margin, l / math.pi))
         lo = hi + step * 1e-3
     return found[:count]
 
 
-def negative_roots(f, df, d2f, l, kappa_lo, kappa_max, noise_floor) -> list[Root]:
+def negative_roots(g, l, kappa_lo, kappa_max, noise_floor) -> list[Root]:
     """All roots of the negative-sector secular function on [kappa_lo, kappa_max].
 
     One scan, with the dip test for hidden pairs, on a geometric grid of
     NEGATIVE_GRID_POINTS points whatever the geometry: at least 32 per
-    decade while kappa_max / kappa_lo stays below 1e20.  ``f`` should be
-    the e^{-kappa l}-scaled secular function, which stays in float range
+    decade while kappa_max / kappa_lo stays below 1e20.  ``g`` should
+    evaluate the e^{-kappa l}-scaled secular function, which stays in float range
     however deep the level.  Below kappa_lo the solvers cannot tell a level
     from the zero mode's rounding noise.
     """
     grid = np.geomspace(kappa_lo, kappa_max, NEGATIVE_GRID_POINTS)
-    return scan_roots(f, df, d2f, grid, ROOT_XTOL_FACTOR / l, 4e-7 / l, math.inf, noise_floor)
+    return scan_roots(g, grid, ROOT_XTOL_FACTOR / l, 4e-7 / l, math.inf, noise_floor)
 
 
-def basis_jets(k, h, hyperbolic: bool):
+def _sinc_jets(sign):
+    """Taylor coefficients in x of sin(x)/x (sign -1) or sinh(x)/x (+1) and of
+    its first two derivatives, to float precision below SERIES_KH."""
+    coef = np.array([0.0 if n % 2 else sign ** (n // 2) / math.factorial(n + 1) for n in range(16)])
+    return [np.polynomial.polynomial.polyder(coef, n) for n in range(3)]
+
+
+_SINC_JETS = {False: _sinc_jets(-1.0), True: _sinc_jets(1.0)}
+
+
+def basis_jets(k, h, hyperbolic: bool, order: int = 2):
     """Rows u, u', u'' of u = (cos kh, sin(kh)/k, k sin kh) and its k-derivatives.
 
     ``hyperbolic`` takes the continuation k -> -i kappa at k = kappa,
     u = (cosh kh, sinh(kh)/k, -k sinh kh), with every row times e^{-kh} so
-    that no entry overflows however deep the level.  Shape (3, 3) + k.shape.
+    that no entry overflows however deep the level.  Below k h = SERIES_KH
+    sin(kh)/k and its derivatives come from their Taylor series, where the
+    closed forms cancel, so every entry is exact through k = 0.  Only the
+    rows up to ``order`` are built.  Shape (order + 1, 3) + k.shape.
     """
-    k = np.asarray(k, dtype=float)
+    shape = np.shape(k)
+    k = np.asarray(k, dtype=float).reshape(-1)
     th = k * h
     if hyperbolic:
         cs, sn, sg = 0.5 * (1.0 + np.exp(-2.0 * th)), -0.5 * np.expm1(-2.0 * th), 1.0
     else:
         cs, sn, sg = np.cos(th), np.sin(th), -1.0
-    s = h * np.divide(sn, th, out=np.ones_like(th), where=th != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # s', s'' are not used at k = 0
-        s1 = (h * cs - s) / k
-        s2 = (sg * h * h * sn - 2.0 * s1) / k
+    small = th < SERIES_KH
+    series = small.any()
+    kd = np.where(small, 1.0, k) if series else k
+    # k s(k) = sin kh, differentiated: k s^(n) + n s^(n-1) = (d/dk)^n sin kh
+    s = [sn / kd]
+    for top in (h * cs, sg * h * h * sn)[:order]:
+        s.append((top - len(s) * s[-1]) / kd)
+    if series:
+        x = th[small]
+        scale = h * np.exp(-x) if hyperbolic else h
+        for n, jet in enumerate(s):
+            jet[small] = scale * h**n * np.polynomial.polynomial.polyval(x, _SINC_JETS[hyperbolic][n])
+    out = np.empty((order + 1, 3, k.size))
     k2 = k * k
-    return np.array(
-        [
-            [cs, s, -sg * k2 * s],
-            [sg * h * sn, s1, -sg * (2.0 * k * s + k2 * s1)],
-            [sg * h * h * cs, s2, -sg * (2.0 * s + 4.0 * k * s1 + k2 * s2)],
-        ]
-    )
+    out[0, 0], out[0, 1], out[0, 2] = cs, s[0], -sg * k2 * s[0]
+    if order >= 1:
+        out[1, 0], out[1, 1], out[1, 2] = sg * h * sn, s[1], -sg * (2.0 * k * s[0] + k2 * s[1])
+    if order >= 2:
+        out[2, 0], out[2, 1], out[2, 2] = sg * h * h * cs, s[2], -sg * (2.0 * s[0] + 4.0 * k * s[1] + k2 * s[2])
+    return out.reshape((order + 1, 3) + shape)
+
+
+def secular(form, l, hyperbolic: bool = False):
+    """The secular function Q = u^T A u on the jets u(k; l/2), as one callable.
+
+    g(k, n) returns [Q, Q', ..., Q^(n)] (n <= 2) from a single basis_jets
+    call.  ``hyperbolic`` evaluates at k -> -i kappa and returns the
+    derivatives of e^{-kappa l} Q instead: the row scaling of the jets
+    carries that factor, which keeps deep levels in float range and leaves
+    roots and signs alone.
+    """
+    form = np.asarray(form, dtype=float)
+    w = l if hyperbolic else 0.0
+
+    def g(k, n=0):
+        shape = np.shape(k)
+        u = basis_jets(np.reshape(k, -1), l / 2.0, hyperbolic, n)
+        q = np.einsum("aij,ij->aj", u, form @ u[0])  # u^T A u, u'^T A u, u''^T A u
+        if n >= 2:
+            q[2] = 2.0 * (q[2] + np.einsum("ij,ij->j", u[1], form @ u[1])) - 4.0 * w * q[1] + w * w * q[0]
+        if n >= 1:
+            q[1] = 2.0 * q[1] - w * q[0]
+        return q.reshape((n + 1,) + shape)
+
+    return g
 
 
 def boundary_matrix(umat, l0, vals, ders):

@@ -12,7 +12,11 @@ sin(k_n l) tends to zero without vanishing, and the root expansion
 has parity-dependent coefficients that encode the parameters (case III).
 
 A multi-start least-squares fit over the filled-torus parameter space
-serves as an independent cross-check for all three regimes.
+serves as an independent cross-check for all three regimes.  The secular
+function is linear in c = (Im beta, sin xi, cos xi, Re alpha), so its
+weighted values at the data are the rows of one N x 4 matrix, built once
+per prefix from the engine's secular evaluator; residual and jacobian are
+that matrix times c and times its closed-form derivative.
 """
 from __future__ import annotations
 
@@ -30,16 +34,12 @@ from .errors import (
     NoisyTail,
     QringError,
 )
-from .spectrum import (
-    negative_levels,
-    positive_levels,
-    secular_negative,
-    secular_positive,
-    zero_mode_exists,
-)
+from .engine import secular
+from .spectrum import negative_levels, positive_levels, secular_forms, zero_mode_exists
 from .u2 import Geometry, SpectralTriple
 
 CASE_I_SIN_TOL = 1e-9
+CLASSIFY_MIN_LEVELS = 16       # positive levels classify_case needs
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ def classify_case(prefix: SpectrumPrefix, tol_sin: float = CASE_I_SIN_TOL) -> Ca
     degenerate doublet spectrum rather than case I).
     """
     ks = np.asarray(prefix.positive_k)
-    if ks.size < 16:
-        raise ValueError("need at least 16 positive levels to classify")
+    if ks.size < CLASSIFY_MIN_LEVELS:
+        raise ValueError(f"need at least {CLASSIFY_MIN_LEVELS} positive levels to classify")
     l = prefix.geometry.l
     kl = ks * l
     sin_kl = np.sin(kl)
@@ -317,64 +317,46 @@ def _unpack(params: np.ndarray) -> SpectralTriple:
     return SpectralTriple(xi, rho * math.cos(psi), rho * math.sin(psi))
 
 
-def _negative_weight(kappa: float, geom: Geometry) -> float:
-    """Hyperbolic envelope normalizer, saturating alongside the clipped secular value."""
-    from .spectrum import EXP_SATURATION
+def _fit_rows(prefix: SpectrumPrefix) -> np.ndarray:
+    """Weighted N x 4 rows Phi: the secular value of datum j is Phi[j] . c,
+    c = (bI, sin xi, cos xi, aR).
 
-    return (1.0 + kappa * geom.l0) * 0.5 * math.exp(min(kappa * geom.l, EXP_SATURATION))
-
-
-def _smooth_residuals(params: np.ndarray, prefix: SpectrumPrefix) -> np.ndarray:
-    t = _unpack(params)
+    Positive rows are divided by 1 + k L0; bound states give the
+    e^{-kappa l}-scaled rows times 2 / (1 + kappa L0), so that no deep level
+    dominates the hyperbolic envelope.
+    """
     geom = prefix.geometry
-    ks = np.asarray(prefix.positive_k)
-    res = [secular_positive(t, geom, ks) / (1.0 + ks * geom.l0)]
-    if prefix.has_zero_mode:
-        res.append(np.atleast_1d(secular_positive(t, geom, 0.0)))
-    for kappa in prefix.negative_kappa:
-        # the hyperbolic envelope would otherwise let one deep level dominate
-        res.append(np.atleast_1d(secular_negative(t, geom, kappa) / _negative_weight(kappa, geom)))
-    return np.concatenate(res)
+    forms = secular_forms(geom)
 
-
-def _residual_jacobian(params: np.ndarray, prefix: SpectrumPrefix) -> np.ndarray:
-    """Exact jacobian of the weighted residuals in (xi, rho, psi)."""
-    from .spectrum import EXP_SATURATION
-
-    xi, rho, psi = params
-    geom = prefix.geometry
-    l_ratio = geom.l / (2.0 * geom.l0)
-
-    def rows(k_or_kappa, negative):
-        x = np.asarray(k_or_kappa, dtype=float)
-        if negative:
-            # growing/decaying split so the deep-level rows stay finite;
-            # saturation matches the weighted residual's
-            xl = x * geom.l
-            e_grow = np.exp(np.minimum(xl, EXP_SATURATION))
-            e_decay = np.exp(-xl)
-            xs = np.where(xl == 0, 1.0, xl)
-            osc = 0.5 * (e_grow + e_decay)
-            shape = (e_grow - e_decay) / (2.0 * xs)
-            curv = -((x * geom.l0) ** 2)
-        else:
-            osc = np.cos(x * geom.l)
-            shape = np.sinc(x * geom.l / math.pi)
-            curv = (x * geom.l0) ** 2
-        d_xi = math.cos(xi) * osc - math.sin(xi) * (1.0 + curv) * l_ratio * shape
-        d_ar = (-1.0 + curv) * l_ratio * shape
-        d_bi = np.ones_like(x)
-        d_rho = d_ar * math.cos(psi) + d_bi * math.sin(psi)
-        d_psi = rho * (-d_ar * math.sin(psi) + d_bi * math.cos(psi))
-        return np.column_stack([np.atleast_1d(d_xi), np.atleast_1d(d_rho), np.atleast_1d(d_psi)])
+    def rows(x, hyperbolic):
+        return np.stack([secular(a, geom.l, hyperbolic)(x)[0] for a in forms], axis=-1)
 
     ks = np.asarray(prefix.positive_k)
+    kappas = np.asarray(prefix.negative_kappa, dtype=float)
     blocks = [rows(ks, False) / (1.0 + ks * geom.l0)[:, None]]
     if prefix.has_zero_mode:
-        blocks.append(rows(0.0, False))
-    for kappa in prefix.negative_kappa:
-        blocks.append(rows(kappa, True) / _negative_weight(kappa, geom))
+        blocks.append(rows([0.0], False))
+    blocks.append(rows(kappas, True) * (2.0 / (1.0 + kappas * geom.l0))[:, None])
     return np.vstack(blocks)
+
+
+def _residuals(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    xi, rho, psi = params
+    return rows @ np.array([rho * math.sin(psi), math.sin(xi), math.cos(xi), rho * math.cos(psi)])
+
+
+def _jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Exact jacobian of the weighted residuals in (xi, rho, psi): rows times dc."""
+    xi, rho, psi = params
+    dc = np.array(
+        [
+            [0.0, math.sin(psi), rho * math.cos(psi)],
+            [math.cos(xi), 0.0, 0.0],
+            [-math.sin(xi), 0.0, 0.0],
+            [0.0, math.cos(psi), -rho * math.sin(psi)],
+        ]
+    )
+    return rows @ dc
 
 
 def _forward_consistent(t: SpectralTriple, prefix: SpectrumPrefix, n_check: int = 30) -> bool:
@@ -425,6 +407,7 @@ def fit_parameters(
     levels).  Raises NoConvergence when no start reaches the target.
     """
     rng = np.random.default_rng(seed)
+    rows = _fit_rows(prefix)
 
     # the degenerate corners of the parameter space are isolated zeros that a
     # bounded optimizer cannot reach exactly; probe them outright
@@ -436,7 +419,7 @@ def fit_parameters(
     ]
     for t in corners:
         x = np.array([t.xi, 1.0, math.atan2(t.beta_i, t.alpha_r)])
-        residual = float(np.linalg.norm(_smooth_residuals(x, prefix)))
+        residual = float(np.linalg.norm(_residuals(x, rows)))
         if residual < residual_target and _forward_consistent(t, prefix):
             return FitResult(t, residual, 0, True)
 
@@ -458,36 +441,22 @@ def fit_parameters(
             )
         )
 
+    problem = dict(
+        args=(rows,),
+        jac=_jacobian,
+        bounds=([0.0, 0.0, -2 * math.pi], [math.pi - 1e-12, 1.0, 4 * math.pi]),
+        xtol=1e-15,
+        ftol=1e-15,
+        gtol=1e-15,
+    )
     best: FitResult | None = None
     for i, x0 in enumerate(starts[:max_starts], start=1):
-        sol = least_squares(
-            _smooth_residuals,
-            x0,
-            args=(prefix,),
-            jac=_residual_jacobian,
-            bounds=([0.0, 0.0, -2 * math.pi], [math.pi - 1e-12, 1.0, 4 * math.pi]),
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-            max_nfev=400,
-        )
+        sol = least_squares(_residuals, x0, max_nfev=400, **problem)
         # re-polish with dogbox, which converges onto solutions sitting exactly
         # on a bound (xi = 0 data) where the reflective method stalls
-        sol = least_squares(
-            _smooth_residuals,
-            sol.x,
-            args=(prefix,),
-            jac=_residual_jacobian,
-            method="dogbox",
-            bounds=([0.0, 0.0, -2 * math.pi], [math.pi - 1e-12, 1.0, 4 * math.pi]),
-            x_scale="jac",
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-            max_nfev=200,
-        )
+        sol = least_squares(_residuals, sol.x, method="dogbox", x_scale="jac", max_nfev=200, **problem)
         triple = _unpack(sol.x)
-        residual = float(np.linalg.norm(_smooth_residuals(sol.x, prefix)))
+        residual = float(np.linalg.norm(_residuals(sol.x, rows)))
         if residual > 1e3 * residual_target:
             continue
         consistent = _forward_consistent(triple, prefix)

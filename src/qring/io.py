@@ -38,12 +38,10 @@ def u_from_json(obj) -> CharacteristicMatrix:
         raise ConfigError("boundary matrix spec must be a JSON object")
     if "matrix" in obj:
         _require_keys(obj, {"matrix"}, "matrix spec")
-        rows = obj["matrix"]
         try:
-            m = [[complex(e[0], e[1]) for e in row] for row in rows]
-        except (TypeError, IndexError) as exc:
-            raise ConfigError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-        return from_matrix(m)
+            return from_matrix([[complex(e[0], e[1]) for e in row] for row in obj["matrix"]])
+        except (TypeError, IndexError, ValueError) as exc:
+            raise ConfigError(f"matrix spec needs a 2x2 array of [re, im] pairs: {exc}") from exc
     _require_keys(obj, {"xi", "alpha", "beta"}, "parameter spec")
     try:
         return CharacteristicMatrix(
@@ -51,7 +49,7 @@ def u_from_json(obj) -> CharacteristicMatrix:
             complex(obj["alpha"][0], obj["alpha"][1]),
             complex(obj["beta"][0], obj["beta"][1]),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"parameter spec needs xi, alpha=[re,im], beta=[re,im]: {exc}") from exc
 
 
@@ -63,8 +61,8 @@ def geometry_from_json(obj) -> Geometry:
     _require_keys(obj, {"l", "L0"}, "geometry spec")
     try:
         return Geometry(float(obj["l"]), float(obj["L0"]))
-    except KeyError as exc:
-        raise ConfigError(f"geometry spec needs l and L0: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"geometry spec needs positive l and L0: {exc}") from exc
 
 
 def spectrum_to_csv(spec: Spectrum) -> str:
@@ -98,14 +96,10 @@ def levels_from_text(text: str) -> list[Level]:
         rows = json.loads(stripped)["levels"]
     else:
         rows = list(csv.DictReader(_io.StringIO(text)))
-    levels = []
-    for row in rows:
-        levels.append(
-            Level(
-                str(row["sector"]),
-                float(row["wavenumber"]),
-                float(row["energy"]),
-                int(row["multiplicity"]),
-            )
-        )
-    return levels
+    try:
+        return [
+            Level(str(row["sector"]), float(row["wavenumber"]), float(row["energy"]), int(row["multiplicity"]))
+            for row in rows
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed level row: {exc}") from exc

@@ -9,13 +9,17 @@ function of the wavenumber,
 for E = k^2 > 0; the E = -kappa^2 < 0 condition is the same expression
 continued through k -> -i kappa (trigonometric -> hyperbolic), and the
 E = 0 condition is the common k -> 0 limit.  G depends only on the
-spectral triple (xi, Re alpha, Im beta).  Its roots are found by the
-shared engine (qring.engine): a windowed uniform scan for k > 0 and one
-scan in ln kappa of e^{-kappa l} G for the negative sector.  Multiplicities
-are read off the 2x2 boundary matrix (U - I) V + i L0 (U + I) D on the
-regularized basis (cos kx, sin(kx)/k), one form for all three sectors
-(regular_matrix): a doubly degenerate level requires all four entries to
-vanish, which happens only for Im alpha = Re beta = 0, Im beta != 0.
+spectral triple (xi, Re alpha, Im beta), and linearly: on the engine's jets
+u = (cos kh, sin(kh)/k, k sin kh), h = l/2, it is the fixed quadratic form
+u^T A u with A = sum_i c_i A_i, c = (bI, sin xi, cos xi, aR)
+(secular_forms, secular_form), in all three sectors.  The shared engine
+(qring.engine) evaluates it with its derivatives and finds its roots: a
+windowed uniform scan for k > 0 and one scan in ln kappa of e^{-kappa l} G
+for the negative sector.  Multiplicities are read off the 2x2 boundary
+matrix (U - I) V + i L0 (U + I) D on the regularized basis
+(cos kx, sin(kx)/k), one form for all three sectors (regular_matrix): a
+doubly degenerate level requires all four entries to vanish, which happens
+only for Im alpha = Re beta = 0, Im beta != 0.
 
 Units: hbar^2/2m = 1, so energies are k^2 (or -kappa^2) with k in 1/length.
 """
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import basis_jets, boundary_matrix, negative_roots, null_dims, null_space, positive_roots
+from .engine import basis_jets, boundary_matrix, negative_roots, null_dims, null_space, positive_roots, secular
 from .errors import InternalInvariant, NotSusyCase, RankMismatch
 from .u2 import (
     SIGMA1,
@@ -53,38 +57,45 @@ def _as_triple(u) -> SpectralTriple:
 # secular functions
 
 
-def _sinc(x):
-    return np.sinc(np.asarray(x) / np.pi)
+def secular_forms(geom: Geometry) -> np.ndarray:
+    """The four 3x3 matrices A_i with G = u^T (sum_i c_i A_i) u, c = (bI, sin xi, cos xi, aR).
+
+    u = (cos kh, sin(kh)/k, k sin kh) with h = l/2 are the engine's jets;
+    the identities 1 = c^2 + st, cos kl = c^2 - st, sin(kl)/k = 2cs and
+    k sin kl = 2ct turn each term of G into a fixed quadratic form.  They
+    hold at k -> -i kappa too.
+    """
+    p, m = 0.5 / geom.l0, 0.5 * geom.l0
+    return np.array(
+        [
+            [[1.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, -0.5, 0.0]],
+            [[0.0, p, m], [p, 0.0, 0.0], [m, 0.0, 0.0]],
+            [[0.0, -p, m], [-p, 0.0, 0.0], [m, 0.0, 0.0]],
+        ]
+    )
 
 
-def _sinhc(x):
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    out = np.sinh(xs) / xs
-    x2 = x * x
-    return np.where(small, 1.0 + x2 / 6.0 + x2 * x2 / 120.0, out)
+def secular_form(triple, geom: Geometry) -> np.ndarray:
+    """The real symmetric A = sum_i c_i A_i of secular_forms, G = u^T A u.
+
+    Built from cos xi -+ aR and bI +- sin xi, each formed first: near their
+    cancellation that sum is exact, where summing c_i A_i is not.
+    """
+    t = _as_triple(triple)
+    sin_xi, cos_xi = math.sin(t.xi), math.cos(t.xi)
+    lo, hi = 0.5 * (cos_xi - t.alpha_r) / geom.l0, 0.5 * (cos_xi + t.alpha_r) * geom.l0
+    odd = 0.5 * (t.beta_i - sin_xi)
+    return np.array([[t.beta_i + sin_xi, lo, hi], [lo, 0.0, odd], [hi, odd, 0.0]])
 
 
-def _xcos_minus_sin_over_x2(x):
-    """(x cos x - sin x)/x^2, stable through x = 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-3
-    xs = np.where(small, 1.0, x)
-    out = (xs * np.cos(xs) - np.sin(xs)) / (xs * xs)
-    x2 = x * x
-    series = x * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0)
-    return np.where(small, series, out)
+def _secular(triple, geom: Geometry, hyperbolic: bool = False):
+    """engine.secular on this triple's form: G, or e^{-kappa l} G if ``hyperbolic``."""
+    return secular(secular_form(triple, geom), geom.l, hyperbolic)
 
 
-def _xcosh_minus_sinh_over_x2(x):
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-3
-    xs = np.where(small, 1.0, x)
-    out = (xs * np.cosh(xs) - np.sinh(xs)) / (xs * xs)
-    x2 = x * x
-    series = x * (1.0 / 3.0 + x2 / 30.0 + x2 * x2 / 840.0)
-    return np.where(small, series, out)
+def _scalar(out):
+    return out if out.shape else float(out)
 
 
 def secular_positive(triple: SpectralTriple, geom: Geometry, k):
@@ -93,99 +104,37 @@ def secular_positive(triple: SpectralTriple, geom: Geometry, k):
     Continuous through k = 0, where its value is the zero-mode condition.
     Accepts scalar or array k.
     """
-    t = _as_triple(triple)
-    k = np.asarray(k, dtype=float)
-    kl = k * geom.l
-    c_minus = math.cos(t.xi) - t.alpha_r
-    c_plus = math.cos(t.xi) + t.alpha_r
-    bracket = c_minus + c_plus * (k * geom.l0) ** 2
-    out = t.beta_i + math.sin(t.xi) * np.cos(kl) + bracket * (geom.l / (2 * geom.l0)) * _sinc(kl)
-    return out if out.shape else float(out)
+    return _scalar(_secular(triple, geom)(k, 0)[0])
 
 
 def secular_positive_deriv(triple: SpectralTriple, geom: Geometry, k):
     """d/dk of the positive-sector secular function."""
-    t = _as_triple(triple)
-    k = np.asarray(k, dtype=float)
-    kl = k * geom.l
-    c_minus = math.cos(t.xi) - t.alpha_r
-    c_plus = math.cos(t.xi) + t.alpha_r
-    bracket = c_minus + c_plus * (k * geom.l0) ** 2
-    out = (
-        (geom.l0 * c_plus - geom.l * math.sin(t.xi)) * np.sin(kl)
-        + bracket * (geom.l**2 / (2 * geom.l0)) * _xcos_minus_sin_over_x2(kl)
-    )
-    return out if out.shape else float(out)
-
-
-# magnitudes saturate beyond this exponent so products stay finite; signs (and
-# hence root locations, to e^-500 accuracy) are unaffected
-EXP_SATURATION = 500.0
-
-
-def _exp_clip(x):
-    return np.exp(np.minimum(x, EXP_SATURATION))
+    return _scalar(_secular(triple, geom)(k, 1)[1])
 
 
 def secular_negative(triple: SpectralTriple, geom: Geometry, kappa):
     """Secular function of the negative sector (E = -kappa^2), kappa > 0.
 
-    Evaluated through growing/decaying exponentials so that very deep
-    levels (kappa l beyond the cosh overflow point) keep a well-defined
-    sign; magnitudes saturate there instead of becoming nan.
+    e^{kappa l} times the scaled value the solver scans; it leaves float
+    range for deep levels (kappa l beyond about 709), where it returns
+    +-inf with the sign of the scaled value.
     """
-    t = _as_triple(triple)
     kappa = np.asarray(kappa, dtype=float)
-    x = kappa * geom.l
-    c_minus = math.cos(t.xi) - t.alpha_r
-    c_plus = math.cos(t.xi) + t.alpha_r
-    bracket = c_minus - c_plus * (kappa * geom.l0) ** 2
-    small = x < 1e-4
-    xs = np.where(small, 1.0, x)
-    shape = bracket * geom.l / (4.0 * geom.l0 * xs)  # coefficient of e^x - e^-x
-    grow = 0.5 * math.sin(t.xi) + shape
-    decay = 0.5 * math.sin(t.xi) - shape
-    out = t.beta_i + _exp_clip(xs) * grow + np.exp(-xs) * decay
-    x0 = np.where(small, x, 0.0)
-    series = t.beta_i + math.sin(t.xi) * np.cosh(x0) + bracket * (geom.l / (2 * geom.l0)) * _sinhc(x0)
-    out = np.where(small, series, out)
-    return out if out.shape else float(out)
+    with np.errstate(over="ignore"):
+        return _scalar(np.exp(kappa * geom.l) * _secular(triple, geom, True)(kappa, 0)[0])
 
 
 def secular_negative_deriv(triple: SpectralTriple, geom: Geometry, kappa):
-    t = _as_triple(triple)
+    """d/dkappa of secular_negative, with the same +-inf beyond float range."""
     kappa = np.asarray(kappa, dtype=float)
-    x = kappa * geom.l
-    c_minus = math.cos(t.xi) - t.alpha_r
-    c_plus = math.cos(t.xi) + t.alpha_r
-    bracket = c_minus - c_plus * (kappa * geom.l0) ** 2
-    lead = geom.l * math.sin(t.xi) - geom.l0 * c_plus
-    small = x < 1e-3
-    xs = np.where(small, 1.0, x)
-    hump = bracket * geom.l**2 / (4.0 * geom.l0 * xs * xs)
-    out = _exp_clip(xs) * (0.5 * lead + hump * (xs - 1.0)) + np.exp(-xs) * (
-        -0.5 * lead + hump * (xs + 1.0)
-    )
-    x0 = np.where(small, x, 0.0)
-    series = lead * np.sinh(x0) + bracket * (geom.l**2 / (2 * geom.l0)) * _xcosh_minus_sinh_over_x2(x0)
-    out = np.where(small, series, out)
-    return out if out.shape else float(out)
-
-
-def _secular_deriv2(t: SpectralTriple, geom: Geometry, k, hyperbolic: bool):
-    """d^2/dk^2 of secular_positive, or of secular_negative if ``hyperbolic``.
-
-    Both are bI + w . u on the basis of engine.basis_jets with h = l.
-    """
-    cos_xi = math.cos(t.xi)
-    w = np.array([math.sin(t.xi), (cos_xi - t.alpha_r) / (2 * geom.l0), (cos_xi + t.alpha_r) * geom.l0 / 2])
-    out = w @ basis_jets(k, geom.l, hyperbolic)[2]
-    return _exp_clip(np.asarray(k) * geom.l) * out if hyperbolic else out
+    q, dq = _secular(triple, geom, True)(kappa, 1)
+    with np.errstate(over="ignore"):
+        return _scalar(np.exp(kappa * geom.l) * (dq + geom.l * q))
 
 
 def zero_mode_exists(triple: SpectralTriple, geom: Geometry, tol: float = 1e-10) -> bool:
     """Whether an E = 0 eigenstate exists (the k -> 0 limit of the secular condition)."""
-    return abs(secular_positive(_as_triple(triple), geom, 0.0)) < tol
+    return abs(float(_secular(triple, geom)(0.0)[0])) < tol
 
 
 def _noise_floor(t: SpectralTriple, geom: Geometry) -> float:
@@ -293,13 +242,10 @@ def positive_levels(triple: SpectralTriple, geom: Geometry, count: int) -> list[
         raise ValueError("count must be at least 1")
     t = _as_triple(triple)
     rep = triple_to_matrix(t)
-    f = lambda k: secular_positive(t, geom, k)
-    df = lambda k: secular_positive_deriv(t, geom, k)
-    d2f = lambda k: _secular_deriv2(t, geom, k, False)
     # the secular function vanishes at every root, so its null space is never empty
     mult = lambda ks: np.maximum(null_dims(*regular_matrix(rep, geom, ks)), 1)
     levels: list[Level] = []
-    for root, m in positive_roots(f, df, d2f, geom.l, count, mult, _noise_floor(t, geom), 2e-7 / geom.l, 2.0):
+    for root, m in positive_roots(_secular(t, geom), geom.l, count, mult, _noise_floor(t, geom), 2e-7 / geom.l, 2.0):
         note = "even-order secular root with one-dimensional null space" if root.touching and m == 1 else None
         levels.append(Level("positive", root.x, root.x**2, m, note))
     return levels
@@ -320,7 +266,8 @@ def negative_search_bound(t: SpectralTriple, geom: Geometry) -> float:
         return max(10.0 / geom.l0, 10.0 / geom.l)  # constant secular function
     kmax = max(10.0 / geom.l0, 10.0 / geom.l)
     limit = 1e6 / min(geom.l, geom.l0)
-    while np.sign(secular_negative(t, geom, kmax)) != tail_sign and kmax < limit:
+    g = _secular(t, geom, True)
+    while np.sign(g(kmax)[0]) != tail_sign and kmax < limit:
         kmax *= 2.0
     return kmax
 
@@ -328,21 +275,11 @@ def negative_search_bound(t: SpectralTriple, geom: Geometry) -> float:
 def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:
     """All negative-energy levels (at most two exist)."""
     t = _as_triple(triple)
-    l = geom.l
-    # e^{-kappa l} G: the same saturation as secular_negative keeps deep values finite
-    decay = lambda x: np.exp(-np.minimum(np.asarray(x) * l, EXP_SATURATION))
-    f = lambda x: secular_negative(t, geom, x) * decay(x)
-    df = lambda x: (secular_negative_deriv(t, geom, x) - l * secular_negative(t, geom, x)) * decay(x)
-    d2f = lambda x: decay(x) * (
-        _secular_deriv2(t, geom, x, True)
-        - 2.0 * l * secular_negative_deriv(t, geom, x)
-        + l * l * secular_negative(t, geom, x)
-    )
     # below the noise floor values carry no sign information (a degenerate zero
     # mode makes the function vanish to fourth order at kappa = 0); levels
     # below kappa = 1e-7/L0 are left to the zero-mode test
     kmax = negative_search_bound(t, geom)
-    roots = negative_roots(f, df, d2f, l, 1e-7 / geom.l0, kmax, _noise_floor(t, geom))
+    roots = negative_roots(_secular(t, geom, True), geom.l, 1e-7 / geom.l0, kmax, _noise_floor(t, geom))
     ks = np.array([r.x for r in roots])
     if ks.size > 2:
         raise InternalInvariant(f"negative sector produced {ks.size} levels; at most 2 exist")

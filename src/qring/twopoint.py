@@ -18,11 +18,11 @@ is exactly the linear-ansatz zero-mode condition, and the continuation
 k -> -i kappa covers the negative sector, with the rows of the joint at
 l/2 scaled by e^{-kappa l/2} (U is block-diagonal, so the rank is kept).
 On that basis the determinant is a fixed real quadratic form (up to one
-constant phase) in (cos kh, sin(kh)/k, k sin kh), h = l/2, so the secular
-function and its derivatives are evaluated in closed form; the shared
-engine (qring.engine) finds its roots and reads multiplicities off the
-matrix.  The textbook plane-wave matrix is exposed as BlockSecular for
-inspection; both share their zeros at k > 0.
+constant phase) in (cos kh, sin(kh)/k, k sin kh), h = l/2, the same jets
+on which the one-point function is a form; the shared engine
+(qring.engine) evaluates it with its derivatives, finds its roots and
+reads multiplicities off the matrix.  The textbook plane-wave matrix is
+exposed as BlockSecular for inspection; both share their zeros at k > 0.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import basis_jets, boundary_matrix, negative_roots, null_dims, positive_roots
+from .engine import basis_jets, boundary_matrix, negative_roots, null_dims, positive_roots, secular
 from .errors import NotSpecialUnitary
 from .spectrum import Level, Spectrum, negative_search_bound
 from .u2 import (
@@ -171,27 +171,6 @@ def _secular_form(sys: TwoPointSystem) -> tuple[complex, np.ndarray]:
     return complex(rotation), (coef / rotation).real
 
 
-def _real_secular(form: np.ndarray, geom: Geometry, hyperbolic: bool, order: int):
-    """The ``order``-th k-derivative (order <= 2) of Q = u^T A u at k > 0.
-
-    ``hyperbolic`` evaluates at k -> -i kappa and returns the derivatives of
-    e^{-kappa l} Q instead: the positive factor keeps deep levels in float
-    range and leaves roots and signs alone.
-    """
-    w = geom.l if hyperbolic else 0.0
-
-    def g(k):
-        u = basis_jets(k, geom.l / 2.0, hyperbolic)
-        q = lambda i, j: np.einsum("i...,ij,j...->...", u[i], form, u[j])
-        if order == 0:
-            return q(0, 0)
-        if order == 1:
-            return 2.0 * q(0, 1) - w * q(0, 0)
-        return 2.0 * (q(1, 1) + q(0, 2)) - 4.0 * w * q(0, 1) + w * w * q(0, 0)
-
-    return g
-
-
 def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     """Negative, zero, and the lowest ``count`` positive levels of the pair.
 
@@ -224,16 +203,15 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     # the form's coefficients carry rounding errors that move a zero mode's
     # double root at kappa = 0 out to about 1e-8 / sqrt(l L0): the scan starts above
     kappa_lo = 1e-6 / math.sqrt(geom.l * geom.l0)
-    fneg, dfneg, d2fneg = (_real_secular(form, geom, True, n) for n in range(3))
-    ks = np.array([r.x for r in negative_roots(fneg, dfneg, d2fneg, geom.l, kappa_lo, kmax, 0.0)])
+    ks = np.array([r.x for r in negative_roots(secular(form, geom.l, True), geom.l, kappa_lo, kmax, 0.0)])
     levels.extend(Level("negative", float(k), -float(k) ** 2, int(m)) for k, m in zip(ks, dims(ks, True)) if m)
 
     # positive sector, windowed, with eigenvalue-count verification: the
     # level pairs of weakly coupled halves close like 1/k and eventually
     # hide inside one grid cell without any local signature
-    fpos, dfpos, d2fpos = (_real_secular(form, geom, False, n) for n in range(3))
-    floor = 1e-12 * max(1.0, abs(float(fpos(math.pi / (8.0 * geom.l)))))
-    for root, m in positive_roots(fpos, dfpos, d2fpos, geom.l, count, dims, floor, 4e-7 / geom.l, math.inf):
+    g = secular(form, geom.l)
+    floor = 1e-12 * max(1.0, abs(float(g(math.pi / (8.0 * geom.l))[0])))
+    for root, m in positive_roots(g, geom.l, count, dims, floor, 4e-7 / geom.l, math.inf):
         levels.append(Level("positive", root.x, root.x**2, m))
     levels.sort(key=lambda lv: lv.energy)
     return Spectrum(tuple(levels), provenance=None, max_negative=4)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qring
+from qring import cli
 from qring.cli import main
 from qring.io import levels_from_text, spectrum_to_csv, spectrum_to_json, u_from_json
 from qring.spectrum import full_spectrum
@@ -15,6 +16,8 @@ from qring.u2 import Geometry, from_matrix
 
 EXCHANGE_JSON = '{"xi": 1.5707963267948966, "alpha": [0, 0], "beta": [0, -1]}'
 MINUS_ID_JSON = '{"matrix": [[[-1, 0], [0, 0]], [[0, 0], [-1, 0]]]}'
+# the 16 lowest levels k = pi n of the Dirichlet circle, as CSV rows
+DIRICHLET_ROWS = [f"{n - 1},positive,{math.pi * n!r},{(math.pi * n) ** 2!r},1" for n in range(1, 17)]
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +196,51 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--u", '{"xi": 4.0, "alpha": [1, 0], "beta": [0, 0]}'),
+            ("spectrum", "--u", '{"xi": "x", "alpha": [1, 0], "beta": [0, 0]}'),
+            ("spectrum", "--u", EXCHANGE_JSON, "--geometry", '{"l": -1.0, "L0": 1.0}'),
+            ("spectrum", "--u", '{"matrix": [[[1, 0]], [[0, 0], [1, 0]]]}'),
+            ("kernel", "--family", "box", "--tau", "-0.1"),
+        ],
+    )
+    def test_invalid_values_are_config_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            DIRICHLET_ROWS + ["16,positive,-1.0,1.0,1"],
+            DIRICHLET_ROWS + ["16,negative,1.0,-1.0,1"] * 3,
+            DIRICHLET_ROWS + ["16,positive,1.0,1.0,3"],
+            DIRICHLET_ROWS + ["16,bogus,1.0,1.0,1"],
+            DIRICHLET_ROWS + ["16,positive,x,1.0,1"],
+            DIRICHLET_ROWS[:15],
+        ],
+    )
+    def test_malformed_spectrum_file_is_config_error(self, capsys, tmp_path, rows):
+        path = tmp_path / "levels.csv"
+        path.write_text("\n".join(["index,sector,wavenumber,energy,multiplicity"] + rows) + "\n")
+        code, out, err = run_cli(capsys, "invert", str(path))
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err
+
+    def test_value_error_inside_a_solver_is_numeric_failure(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("solver fault")
+
+        monkeypatch.setattr(cli, "full_spectrum", broken)
+        code, out, err = run_cli(capsys, "spectrum", "--u", EXCHANGE_JSON)
+        assert code == 3
+        assert out == ""
+        assert "numeric failure: solver fault" in err
 
     def test_non_unitary_matrix_is_numeric_failure(self, capsys):
         code, _, err = run_cli(

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from qring import engine, spectrum, twopoint
+from qring import engine
 from qring.spectrum import negative_levels, positive_levels, regular_matrix
 from qring.twopoint import TwoPointSystem, spectrum2
 from qring.u2 import SIGMA1, Geometry, SpectralTriple, from_matrix, haar_random, spectral_triple, triple_to_matrix
@@ -23,30 +23,27 @@ def sweep_matrices():
 
 class TestNegativeScanBounded:
     def test_grid_and_time_do_not_grow_with_the_geometry(self, monkeypatch):
-        # the largest array handed to a negative-sector secular function is the
-        # same at every L0/l, and every call stays fast
+        # the largest array handed to the negative-sector secular function of
+        # either solver is the same at every L0/l, and every call stays fast
         largest: dict[str, int] = {}
-        secular_negative = spectrum.secular_negative
-        basis_jets = twopoint.basis_jets
+        solver = ["one"]
+        basis_jets = engine.basis_jets
 
-        def one_point(t, geom, kappa):
-            largest["one"] = max(largest.get("one", 0), np.size(kappa))
-            return secular_negative(t, geom, kappa)
-
-        def two_point(k, h, hyperbolic):
+        def jets(k, h, hyperbolic, *order):
             if hyperbolic:
-                largest["two"] = max(largest.get("two", 0), np.size(k))
-            return basis_jets(k, h, hyperbolic)
+                largest[solver[0]] = max(largest.get(solver[0], 0), np.size(k))
+            return basis_jets(k, h, hyperbolic, *order)
 
-        monkeypatch.setattr(spectrum, "secular_negative", one_point)
-        monkeypatch.setattr(twopoint, "basis_jets", two_point)
+        monkeypatch.setattr(engine, "basis_jets", jets)
         sizes = set()
         for l0 in 10.0 ** np.arange(-6, 7):
             geom = Geometry(1.0, float(l0))
             largest.clear()
             for u in sweep_matrices():
                 start = time.perf_counter()
+                solver[0] = "one"
                 neg = negative_levels(spectral_triple(u), geom)
+                solver[0] = "two"
                 pair = spectrum2(TwoPointSystem(u, EXCHANGE, geom), 3)
                 assert time.perf_counter() - start < 2.0
                 assert all(lv.multiplicity == 1 for lv in neg)
@@ -87,3 +84,35 @@ class TestRankRule:
             mat, env = regular_matrix(u, GEOM, np.linspace(0.0, 30.0, 31), hyperbolic)
             assert np.all(np.abs(mat) <= env * (1 + 1e-15))
 
+
+# sixth-order central first difference
+STENCIL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+
+
+def sinc_series(x, h, hyperbolic, n):
+    """n-th k-derivative of sin(kh)/k (sinh if hyperbolic, times e^{-kh}) at kh = x, summed term by term."""
+    sg = 1.0 if hyperbolic else -1.0
+    total = sum(
+        sg**m * math.factorial(2 * m) / math.factorial(2 * m - n) * x ** (2 * m - n) / math.factorial(2 * m + 1)
+        for m in range((n + 1) // 2, 30)
+    )
+    return (math.exp(-x) if hyperbolic else 1.0) * h ** (n + 1) * total
+
+
+class TestBasisJets:
+    @pytest.mark.parametrize("hyperbolic", [False, True])
+    @pytest.mark.parametrize("h", [0.5, 2.0])
+    def test_exact_through_zero(self, hyperbolic, h):
+        # sin(kh)/k and its k-derivatives to 1e-12 h^(n+1): against the series
+        # where the closed forms cancel, against central differences above
+        for x in np.r_[0.0, np.geomspace(1e-9, 1e-2, 30)]:
+            jets = engine.basis_jets(x / h, h, hyperbolic)[:, 1]
+            for n in range(3):
+                assert abs(jets[n] - sinc_series(x, h, hyperbolic, n)) <= 1e-12 * h ** (n + 1)
+        step = 1e-2 / h
+        w = h if hyperbolic else 0.0  # d/dk of the scaled jet n is jet n+1 minus w times jet n
+        for x in np.geomspace(1e-2, 50.0, 60):
+            jets = engine.basis_jets(x / h + step * np.arange(-3, 4), h, hyperbolic)[:, 1]
+            for n in range(2):
+                central = STENCIL @ jets[n] / step
+                assert abs(central - (jets[n + 1, 3] - w * jets[n, 3])) <= 1e-12 * h ** (n + 2)

@@ -17,7 +17,7 @@ from qring.inverse import (
     recover_case_III,
     recover_parameters,
 )
-from qring.spectrum import full_spectrum
+from qring.spectrum import full_spectrum, secular_negative, secular_positive
 from qring.u2 import (
     SIGMA1,
     Geometry,
@@ -189,6 +189,31 @@ class TestFitParameters:
             residual_target=1e-6,
         )
         assert triple_error(res.triple, truth) < 1e-6
+
+    def test_rows_and_jacobian(self):
+        # the fit's rows give the weighted secular values, and its closed-form
+        # jacobian matches central differences of the residuals
+        geom = Geometry(1.0, 0.05)
+        ks = np.linspace(0.3, 40.0, 25)
+        kappas = np.array([3.0, 60.0])
+        rows = qring.inverse._fit_rows(SpectrumPrefix(tuple(ks), True, tuple(kappas), geom))
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            params = np.array([rng.uniform(0, math.pi), rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)])
+            t = SpectralTriple(params[0], params[1] * math.cos(params[2]), params[1] * math.sin(params[2]))
+            expected = np.concatenate([
+                secular_positive(t, geom, ks) / (1.0 + ks * geom.l0),
+                [secular_positive(t, geom, 0.0)],
+                secular_negative(t, geom, kappas) * 2.0 * np.exp(-kappas * geom.l) / (1.0 + kappas * geom.l0),
+            ])
+            res = qring.inverse._residuals(params, rows)
+            assert np.abs(res - expected).max() < 1e-13 * np.abs(rows).max()
+            jac = qring.inverse._jacobian(params, rows)
+            h = 1e-6
+            for j in range(3):
+                step = np.eye(3)[j] * h
+                central = (qring.inverse._residuals(params + step, rows) - qring.inverse._residuals(params - step, rows)) / (2 * h)
+                assert np.abs(jac[:, j] - central).max() < 1e-8 * np.abs(rows).max()
 
     def test_forward_solver_bug_propagates(self, monkeypatch):
         # only typed solver failures mark a candidate inconsistent; anything

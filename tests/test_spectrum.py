@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qring.engine import secular
 from qring.errors import NotSusyCase
 from qring.spectrum import (
-    _secular_deriv2,
     boundary_residual,
     degeneracy_at,
     eigenfunction,
@@ -16,6 +16,7 @@ from qring.spectrum import (
     probability_current,
     regular_matrix,
     scale_independence_check,
+    secular_form,
     secular_negative,
     secular_negative_deriv,
     secular_positive,
@@ -73,12 +74,16 @@ class TestSecularFunction:
         h = 1e-6
         fd = (secular_positive(t, GEOM, ks + h) - secular_positive(t, GEOM, ks - h)) / (2 * h)
         assert np.abs(secular_positive_deriv(t, GEOM, ks) - fd).max() < 1e-7
-        # the second derivatives that refine extrema, in both sectors
-        sectors = ((False, secular_positive_deriv, ks), (True, secular_negative_deriv, ks / 4))
-        for hyperbolic, deriv, xs in sectors:
-            fd2 = (deriv(t, GEOM, xs + h) - deriv(t, GEOM, xs - h)) / (2 * h)
-            scale = np.abs(deriv(t, GEOM, xs)).max()
-            assert np.abs(_secular_deriv2(t, GEOM, xs, hyperbolic) - fd2).max() < 1e-7 * max(scale, 1.0)
+        kappas = ks / 4
+        fd = (secular_negative(t, GEOM, kappas + h) - secular_negative(t, GEOM, kappas - h)) / (2 * h)
+        assert np.abs(secular_negative_deriv(t, GEOM, kappas) - fd).max() < 1e-7 * max(np.abs(fd).max(), 1.0)
+        # the second derivatives that refine extrema, in both sectors (the
+        # negative one of the e^{-kappa l}-scaled function the solver scans)
+        for hyperbolic, xs in ((False, ks), (True, ks / 4)):
+            g = secular(secular_form(t, GEOM), GEOM.l, hyperbolic)
+            fd2 = (g(xs + h, 1)[1] - g(xs - h, 1)[1]) / (2 * h)
+            scale = np.abs(g(xs, 1)[1]).max()
+            assert np.abs(g(xs, 2)[2] - fd2).max() < 1e-7 * max(scale, 1.0)
 
     def test_negative_examples(self):
         # (0,0,0): bracket 1 - (kappa L0)^2 vanishes at kappa = 1/L0

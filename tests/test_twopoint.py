@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qring.engine import secular
 from qring.errors import NotSpecialUnitary
-from qring.spectrum import full_spectrum
+from qring.spectrum import full_spectrum, secular_form
 from qring.twopoint import (
     TwoPointSystem,
-    _real_secular,
     _secular_form,
     block_secular,
     conjugate_pair,
@@ -158,24 +158,36 @@ class TestSecularForm:
         geom = Geometry(1.0, float(10.0**log_l0))
         sys, _ = haar_pair(seed, geom)
         rotation, form = _secular_form(sys)
-        f = [_real_secular(form, geom, False, 0), _real_secular(form, geom, True, 0)]
+        f = [secular(form, geom.l, False), secular(form, geom.l, True)]
         # the hyperbolic matrix carries the same e^{-kappa l} scaling as the form
-        for k, hyperbolic, q in ((kl, False, f[0](kl)), (kappa_l, True, f[1](kappa_l)), (0.0, False, f[0](0.0))):
+        for k, hyperbolic, q in ((kl, False, f[0](kl)[0]), (kappa_l, True, f[1](kappa_l)[0]), (0.0, False, f[0](0.0)[0])):
             mat = regular_matrix(sys, k, hyperbolic)[0]
             hadamard = np.prod(np.linalg.norm(mat, axis=0))
             assert abs(rotation * q - np.linalg.det(mat)) <= 1e-10 * hadamard
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seeds, st.floats(-4.0, 4.0))
+    def test_one_point_form_is_the_free_pair_form(self, seed, log_l0):
+        # the hand-derived one-point form and the 4x4 determinant of (U, exchange)
+        # are the same quadratic form up to a real factor
+        geom = Geometry(1.0, float(10.0**log_l0))
+        u = haar_random(np.random.default_rng(seed))
+        one = secular_form(u, geom)
+        _, two = _secular_form(TwoPointSystem(u, FREE, geom))
+        scale = np.sum(one * two) / np.sum(one * one)
+        assert np.abs(two - scale * one).max() <= 1e-11 * np.abs(two).max()
 
     @SMALL
     @given(seeds, st.floats(0.05, 30.0), st.booleans())
     def test_analytic_derivatives_match_central_differences(self, seed, k, hyperbolic):
         sys, _ = haar_pair(seed)
         _, form = _secular_form(sys)
-        d = [_real_secular(form, GEOM, hyperbolic, n)(k) for n in range(3)]
+        g = secular(form, GEOM.l, hyperbolic)
+        d = g(k, 2)
         scale = abs(d[0]) + abs(d[1]) / GEOM.l + abs(d[2]) / GEOM.l**2
         h = 1e-5 / GEOM.l
         for n in (1, 2):
-            lower = _real_secular(form, GEOM, hyperbolic, n - 1)
-            central = (lower(k + h) - lower(k - h)) / (2 * h)
+            central = (g(k + h, n - 1)[n - 1] - g(k - h, n - 1)[n - 1]) / (2 * h)
             assert abs(central - d[n]) <= 1e-7 * scale * GEOM.l**n
 
 
