@@ -1,9 +1,9 @@
 """Batch front-end: deterministic CSV/JSON runs over all solver modules.
 
 Exit codes: 0 success, 2 configuration error (malformed input, unreadable
-files), 3 numeric failure (any error raised inside a solver).  All
-randomized subcommands take --seed; identical configurations produce
-identical output bytes.
+files), 3 numeric failure (any error raised inside a solver).  The
+subcommands that draw random matrices take --seed; identical configurations
+produce identical output bytes.
 """
 from __future__ import annotations
 
@@ -176,7 +176,7 @@ def cmd_invert(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"spectrum file: {exc}") from exc
-    result = recover_parameters(prefix, seed=args.seed)
+    result = recover_parameters(prefix)
     payload = {"case": result.case, "warnings": list(result.warnings)}
     if args.method in ("asymptotic", "both"):
         t = result.asymptotic_triple
@@ -243,7 +243,7 @@ def cmd_roundtrip(args) -> int:
     u = haar_random(rng)
     truth = spectral_triple(u)
     spec = full_spectrum(u, geom, args.levels)
-    result = recover_parameters(prefix_from_spectrum(spec, geom), seed=args.seed)
+    result = recover_parameters(prefix_from_spectrum(spec, geom))
 
     def err(t):
         if t is None:
@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="recover parameters from a spectrum file")
     p.add_argument("input", help="CSV or JSON spectrum file (as written by `spectrum`)")
     p.add_argument("--method", choices=("asymptotic", "fit", "both"), default="both")
-    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_invert)
 

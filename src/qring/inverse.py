@@ -11,12 +11,17 @@ sin(k_n l) tends to zero without vanishing, and the root expansion
 
 has parity-dependent coefficients that encode the parameters (case III).
 
-A multi-start least-squares fit over the filled-torus parameter space
-serves as an independent cross-check for all three regimes.  The secular
-function is linear in c = (Im beta, sin xi, cos xi, Re alpha), so its
-weighted values at the data are the rows of one N x 4 matrix, built once
-per prefix from the engine's secular evaluator; residual and jacobian are
-that matrix times c and times its closed-form derivative.
+An independent fit, which uses no tail asymptotics, cross-checks all
+three regimes.  The secular function is linear in
+c = (Im beta, sin xi, cos xi, Re alpha), so its weighted values at the data
+are the rows of one N x 4 matrix Phi, built once per prefix from the
+engine's secular evaluator, and Phi c = 0 at the true triple.  The fit is
+one null-space solve: c is the last right singular vector of the
+column-scaled Phi.  Corner rule: the four corners (+-exchange, (0, +-1, 0))
+leave a null space of two dimensions and are probed outright first.  Chart
+rule: flipping the sign of c is the seam (xi, aR, bI) -> (xi + pi, -aR, -bI),
+so the sign is chosen with xi in [0, pi), and within 1e-12 of pi the xi = 0
+chart is taken.
 """
 from __future__ import annotations
 
@@ -75,7 +80,7 @@ def prefix_from_spectrum(spec, geom: Geometry) -> SpectrumPrefix:
 class CaseLabel:
     """Which of the three inversion regimes the data belongs to."""
 
-    case: str  # "I", "II", or "III"
+    case: str  # "I", "II", or "III"; "ambiguous" when classify_case raised
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -304,17 +309,19 @@ def recover_case_III(
 
 @dataclass(frozen=True)
 class FitResult:
+    """The fit's triple and its evidence.
+
+    ``starts_used`` is 0 for a corner probe and 1 for the null-space solve;
+    ``singular_values`` are the four singular values of the column-scaled
+    rows (empty for a corner), whose gap between the last two shows how
+    sharply the data fix the null vector.
+    """
+
     triple: SpectralTriple
     residual: float
     starts_used: int
     forward_consistent: bool
-
-
-def _unpack(params: np.ndarray) -> SpectralTriple:
-    xi, rho, psi = params
-    xi = min(max(xi, 0.0), math.pi - 1e-12)
-    rho = min(max(rho, 0.0), 1.0)
-    return SpectralTriple(xi, rho * math.cos(psi), rho * math.sin(psi))
+    singular_values: tuple[float, ...] = ()
 
 
 def _fit_rows(prefix: SpectrumPrefix) -> np.ndarray:
@@ -340,23 +347,9 @@ def _fit_rows(prefix: SpectrumPrefix) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _residuals(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    xi, rho, psi = params
-    return rows @ np.array([rho * math.sin(psi), math.sin(xi), math.cos(xi), rho * math.cos(psi)])
-
-
-def _jacobian(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Exact jacobian of the weighted residuals in (xi, rho, psi): rows times dc."""
-    xi, rho, psi = params
-    dc = np.array(
-        [
-            [0.0, math.sin(psi), rho * math.cos(psi)],
-            [math.cos(xi), 0.0, 0.0],
-            [-math.sin(xi), 0.0, 0.0],
-            [0.0, math.cos(psi), -rho * math.sin(psi)],
-        ]
-    )
-    return rows @ dc
+def _coefficients(t: SpectralTriple) -> np.ndarray:
+    """c = (bI, sin xi, cos xi, aR): the triple as the fit rows see it."""
+    return np.array([t.beta_i, math.sin(t.xi), math.cos(t.xi), t.alpha_r])
 
 
 def _forward_consistent(t: SpectralTriple, prefix: SpectrumPrefix, n_check: int = 30) -> bool:
@@ -386,89 +379,67 @@ def _forward_consistent(t: SpectralTriple, prefix: SpectrumPrefix, n_check: int 
 
 
 def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on first use: scipy.optimize
-    dominates the package's import time and only the fit needs it."""
+    """scipy.optimize.least_squares, imported on first use.
+
+    No qring code calls it any more: the fit is a null-space solve.  The
+    name stays because the benchmark's trace of ``invert`` wraps it.
+    """
     from scipy.optimize import least_squares as solve
 
     return solve(*args, **kwargs)
 
 
-def fit_parameters(
-    prefix: SpectrumPrefix,
-    max_starts: int = 32,
-    residual_target: float = 1e-8,
-    seed: int = 0,
-) -> FitResult:
-    """Multi-start least squares over the filled-torus parameter space.
+# the isolated corners of the parameter space: the only triples whose rows
+# leave a null space of two or more dimensions (a doublet spectrum at
+# +-exchange; no nonpositive row fixes aR at (0, -1, 0) and (0, 1, 0))
+_CORNERS = (
+    SpectralTriple(math.pi / 2, 0.0, -1.0),
+    SpectralTriple(math.pi / 2, 0.0, 1.0),
+    SpectralTriple(0.0, 1.0, 0.0),
+    SpectralTriple(0.0, -1.0, 0.0),
+)
 
-    Minimizes the weighted secular residuals at every datum; candidate
-    minima must also reproduce the data prefix when run forward (this
-    rejects spurious zero-residual branches whose spectra contain extra
-    levels).  Raises NoConvergence when no start reaches the target.
+
+def fit_parameters(prefix: SpectrumPrefix, residual_target: float = 1e-8) -> FitResult:
+    """The triple whose c = (bI, sin xi, cos xi, aR) the fit rows annihilate.
+
+    The weighted secular values at the data are the rows Phi times c, so
+    c is the last right singular vector of the column-scaled Phi,
+    normalized to sin^2 xi + cos^2 xi = 1.  Its sign is the chart: flipping
+    c maps (xi, aR, bI) to (xi + pi, -aR, -bI), and the sign is chosen
+    with xi in [0, pi), taking the xi = 0 chart within 1e-12 of pi.
+    (aR, bI) is clamped onto the unit disc.  The four corners, where the
+    null space has more than one dimension, are probed outright first.
+    A candidate must keep its residual within 1e3 x ``residual_target``
+    and reproduce the data prefix when run forward; otherwise
+    NoConvergence is raised.
     """
-    rng = np.random.default_rng(seed)
     rows = _fit_rows(prefix)
-
-    # the degenerate corners of the parameter space are isolated zeros that a
-    # bounded optimizer cannot reach exactly; probe them outright
-    corners = [
-        SpectralTriple(math.pi / 2, 0.0, -1.0),
-        SpectralTriple(math.pi / 2, 0.0, 1.0),
-        SpectralTriple(0.0, 1.0, 0.0),
-        SpectralTriple(0.0, -1.0, 0.0),
-    ]
-    for t in corners:
-        x = np.array([t.xi, 1.0, math.atan2(t.beta_i, t.alpha_r)])
-        residual = float(np.linalg.norm(_residuals(x, rows)))
+    for t in _CORNERS:
+        residual = float(np.linalg.norm(rows @ _coefficients(t)))
         if residual < residual_target and _forward_consistent(t, prefix):
             return FitResult(t, residual, 0, True)
 
-    deterministic = [
-        np.array([xi, rho, psi])
-        for xi in (math.pi / 6, math.pi / 2, 5 * math.pi / 6)
-        for rho in (0.35, 0.9)
-        for psi in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-    ]
-    boundary = [
-        np.array([xi, 1.0, psi])
-        for xi, psi in ((1e-9, 0.0), (1e-9, math.pi), (math.pi / 2, math.pi / 2), (math.pi / 2, 3 * math.pi / 2))
-    ]
-    starts = deterministic + boundary
-    while len(starts) < max_starts:
-        starts.append(
-            np.array(
-                [rng.uniform(0, math.pi), math.sqrt(rng.uniform()), rng.uniform(0, 2 * math.pi)]
-            )
-        )
-
-    problem = dict(
-        args=(rows,),
-        jac=_jacobian,
-        bounds=([0.0, 0.0, -2 * math.pi], [math.pi - 1e-12, 1.0, 4 * math.pi]),
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-    )
-    best: FitResult | None = None
-    for i, x0 in enumerate(starts[:max_starts], start=1):
-        sol = least_squares(_residuals, x0, max_nfev=400, **problem)
-        # re-polish with dogbox, which converges onto solutions sitting exactly
-        # on a bound (xi = 0 data) where the reflective method stalls
-        sol = least_squares(_residuals, sol.x, method="dogbox", x_scale="jac", max_nfev=200, **problem)
-        triple = _unpack(sol.x)
-        residual = float(np.linalg.norm(_residuals(sol.x, rows)))
-        if residual > 1e3 * residual_target:
-            continue
-        consistent = _forward_consistent(triple, prefix)
-        cand = FitResult(triple, residual, i, consistent)
-        if consistent and residual < residual_target:
-            return cand
-        if best is None or (consistent, -residual) > (best.forward_consistent, -best.residual):
-            best = cand
-    if best is not None and best.forward_consistent:
-        return best
+    scale = np.linalg.norm(rows, axis=0)
+    scale[scale == 0.0] = 1.0
+    _, sv, vt = np.linalg.svd(rows / scale, full_matrices=False)
+    b_i, sin_xi, cos_xi, a_r = vt[-1] / scale
+    if sin_xi < 0.0 or (sin_xi == 0.0 and cos_xi < 0.0):
+        b_i, sin_xi, cos_xi, a_r = -b_i, -sin_xi, -cos_xi, -a_r
+    norm = math.hypot(sin_xi, cos_xi)
+    if norm == 0.0:
+        raise NoConvergence("the fit rows leave sin xi and cos xi undetermined")
+    xi = abs(math.atan2(sin_xi, cos_xi))  # in [0, pi); abs turns -0.0 into 0.0
+    if xi > math.pi - 1e-12:
+        b_i, a_r, xi = -b_i, -a_r, 0.0
+    radius = max(math.hypot(a_r, b_i) / norm, 1.0)
+    triple = SpectralTriple(xi, a_r / (norm * radius), b_i / (norm * radius))
+    residual = float(np.linalg.norm(rows @ _coefficients(triple)))
+    if residual <= 1e3 * residual_target and _forward_consistent(triple, prefix):
+        return FitResult(triple, residual, 1, True, tuple(float(s) for s in sv))
     raise NoConvergence(
-        f"no start reached residual {residual_target:.1e} with a forward-consistent spectrum"
+        f"the null-space solve left residual {residual:.1e} (target {residual_target:.1e}) "
+        "or a spectrum that does not reproduce the data"
     )
 
 
@@ -482,6 +453,7 @@ class RecoveryResult:
     fit_triple: SpectralTriple | None
     fit_residual: float | None
     warnings: tuple[str, ...]
+    case_diagnostics: dict = field(default_factory=dict)  # classify_case's tail statistics
 
 
 def _triple_distance(a: SpectralTriple, b: SpectralTriple) -> float:
@@ -498,7 +470,7 @@ def _triple_distance(a: SpectralTriple, b: SpectralTriple) -> float:
     )
 
 
-def recover_parameters(prefix: SpectrumPrefix, seed: int = 0) -> RecoveryResult:
+def recover_parameters(prefix: SpectrumPrefix) -> RecoveryResult:
     """Full inversion: classify, run the per-case recovery, cross-check with the fit.
 
     When the classification is ambiguous (regime-boundary data) the fit
@@ -509,10 +481,9 @@ def recover_parameters(prefix: SpectrumPrefix, seed: int = 0) -> RecoveryResult:
     """
     notes: list[str] = []
     asym: SpectralTriple | None = None
-    case = "ambiguous"
+    label = CaseLabel("ambiguous")
     try:
         label = classify_case(prefix)
-        case = label.case
         if label.case == "I":
             asym = recover_case_I(prefix)
         elif label.case == "II":
@@ -529,7 +500,7 @@ def recover_parameters(prefix: SpectrumPrefix, seed: int = 0) -> RecoveryResult:
 
     fit: FitResult | None = None
     try:
-        fit = fit_parameters(prefix, seed=seed)
+        fit = fit_parameters(prefix)
     except NoConvergence as exc:
         notes.append(f"fit path unavailable: {exc}")
 
@@ -550,9 +521,10 @@ def recover_parameters(prefix: SpectrumPrefix, seed: int = 0) -> RecoveryResult:
 
     return RecoveryResult(
         final,
-        case,
+        label.case,
         asym,
         None if fit is None else fit.triple,
         None if fit is None else fit.residual,
         tuple(notes),
+        label.diagnostics,
     )

@@ -43,6 +43,7 @@ from .u2 import (
 )
 
 LOCUS_TOL = 1e-10
+EIGENPHASE_PI_TOL = 1e-14  # |cos xi + aR| below this is an eigenphase of pi
 
 
 def _as_triple(u) -> SpectralTriple:
@@ -252,24 +253,27 @@ def positive_levels(triple: SpectralTriple, geom: Geometry, count: int) -> list[
 
 
 def negative_search_bound(t: SpectralTriple, geom: Geometry) -> float:
-    """Search bound for the negative sector, extended until the tail sign settles."""
-    c_plus = math.cos(t.xi) + t.alpha_r
-    sin_xi = math.sin(t.xi)
-    c_minus = math.cos(t.xi) - t.alpha_r
-    if abs(c_plus) > 1e-14:
-        tail_sign = -np.sign(c_plus)
-    elif sin_xi > 1e-14:
-        tail_sign = 1.0
-    elif abs(c_minus) > 1e-14:
-        tail_sign = np.sign(c_minus)
-    else:
-        return max(10.0 / geom.l0, 10.0 / geom.l)  # constant secular function
-    kmax = max(10.0 / geom.l0, 10.0 / geom.l)
-    limit = 1e6 / min(geom.l, geom.l0)
-    g = _secular(t, geom, True)
-    while np.sign(g(kmax)[0]) != tail_sign and kmax < limit:
-        kmax *= 2.0
-    return kmax
+    """Twice the largest kappa any bound state can have, in closed form.
+
+    The Robin part H = (i/L0)(U + I)^-1 (U - I) of the vertex condition has
+    eigenvalues -tan(theta/2)/L0 over U's eigenphases theta, and every bound
+    state has kappa <= max(0, max tan(theta/2))/L0 + 1/l.  With
+    c+- = cos xi +- aR, the two tangents are (sin xi + sin phi)/c+ and
+    -c-/(sin xi + sin phi), cos phi = aR: the first is the large-kappa root
+    of the secular form itself, from the same c+.  It diverges as an
+    eigenphase reaches pi (c+ -> 0); an eigenphase of pi contributes
+    nothing, and c+ within EIGENPHASE_PI_TOL of zero, the rounding of a
+    triple on that locus, counts as pi.  The factor two keeps the deepest
+    root inside the scan grid.
+    """
+    c_plus, c_minus = math.cos(t.xi) + t.alpha_r, math.cos(t.xi) - t.alpha_r
+    spread = math.sin(t.xi) + math.sqrt(max(1.0 - t.alpha_r**2, 0.0))
+    tangent = 0.0
+    if c_plus > EIGENPHASE_PI_TOL:
+        tangent = spread / c_plus
+    if spread > 0.0:
+        tangent = max(tangent, -c_minus / spread)
+    return 2.0 * (tangent / geom.l0 + 1.0 / geom.l)
 
 
 def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:

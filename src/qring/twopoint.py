@@ -191,7 +191,7 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
         levels.append(Level("zero", 0.0, 0.0, zero_dim))
 
     # negative sector; deep levels localize at one singularity, so the
-    # one-singularity adaptive search bound of either constituent applies.
+    # one-singularity search bound of either constituent applies.
     # The doubled state takes outward derivatives at l/2, where the second
     # singularity therefore binds like U2^dagger.
     u2_dagger = from_matrix(to_matrix(sys.u2).conj().T)

@@ -145,7 +145,7 @@ class TestKernelCommand:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only the least-squares fit needs scipy.optimize, and it dominates import time
+    # scipy.optimize dominates import time, and no subcommand needs it
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qring.__file__)))
     code = "import sys, qring.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

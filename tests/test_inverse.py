@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qring
 import qring.inverse
 from qring.errors import Ambiguous, DegenerateTail, Inconsistent
 from qring.inverse import (
@@ -191,8 +197,7 @@ class TestFitParameters:
         assert triple_error(res.triple, truth) < 1e-6
 
     def test_rows_and_jacobian(self):
-        # the fit's rows give the weighted secular values, and its closed-form
-        # jacobian matches central differences of the residuals
+        # the fit's rows times c = (bI, sin xi, cos xi, aR) give the weighted secular values
         geom = Geometry(1.0, 0.05)
         ks = np.linspace(0.3, 40.0, 25)
         kappas = np.array([3.0, 60.0])
@@ -206,14 +211,50 @@ class TestFitParameters:
                 [secular_positive(t, geom, 0.0)],
                 secular_negative(t, geom, kappas) * 2.0 * np.exp(-kappas * geom.l) / (1.0 + kappas * geom.l0),
             ])
-            res = qring.inverse._residuals(params, rows)
-            assert np.abs(res - expected).max() < 1e-13 * np.abs(rows).max()
-            jac = qring.inverse._jacobian(params, rows)
-            h = 1e-6
-            for j in range(3):
-                step = np.eye(3)[j] * h
-                central = (qring.inverse._residuals(params + step, rows) - qring.inverse._residuals(params - step, rows)) / (2 * h)
-                assert np.abs(jac[:, j] - central).max() < 1e-8 * np.abs(rows).max()
+            c = np.array([t.beta_i, math.sin(t.xi), math.cos(t.xi), t.alpha_r])
+            assert np.abs(rows @ c - expected).max() < 1e-13 * np.abs(rows).max()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_ratio=st.floats(math.log(0.03), math.log(30.0)),
+        seam=st.sampled_from([None, "pi", "0"]),
+        j=st.integers(2, 9),
+    )
+    def test_null_space_round_trip(self, seed, log_ratio, seam, j):
+        # Haar triples over the benchmark's L0/l range, optionally within
+        # 10^-j of either end of the xi chart
+        truth = spectral_triple(haar_random(np.random.default_rng(seed)))
+        if seam is not None:
+            xi = math.pi - 10.0**-j if seam == "pi" else 10.0**-j
+            truth = SpectralTriple(xi, truth.alpha_r, truth.beta_i)
+        geom = Geometry(1.0, math.exp(log_ratio))
+        prefix = prefix_from_spectrum(full_spectrum(truth, geom, 200), geom)
+        res = fit_parameters(prefix)
+        assert res.starts_used == 1 and len(res.singular_values) == 4
+        assert qring.inverse._triple_distance(res.triple, truth) < 1e-9
+
+    def test_case_one_lands_on_the_zero_chart(self):
+        # this case-I null vector folds to xi = pi - O(1e-16); the chart rule
+        # returns its xi = 0 image, not the equivalent triple just below pi
+        truth = SpectralTriple(0.0, -0.5, 0.0)
+        res = fit_parameters(forward_prefix(truth, 200))
+        assert res.triple.xi == 0.0
+        assert triple_error(res.triple, truth) < 1e-9
+
+    def test_fit_leaves_scipy_optimize_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qring.__file__)))
+        code = (
+            "import sys\n"
+            "from qring.inverse import prefix_from_spectrum, recover_parameters\n"
+            "from qring.spectrum import full_spectrum\n"
+            "from qring.u2 import Geometry, SpectralTriple\n"
+            "g = Geometry(1.0, 1.0)\n"
+            "res = recover_parameters(prefix_from_spectrum(full_spectrum(SpectralTriple(1.0, 0.3, 0.2), g, 200), g))\n"
+            "print(res.fit_triple is not None, 'scipy.optimize' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "True False"
 
     def test_forward_solver_bug_propagates(self, monkeypatch):
         # only typed solver failures mark a candidate inconsistent; anything
@@ -243,6 +284,7 @@ class TestRecoverParameters:
             res = recover_parameters(prefix)
             if res.case in cases:
                 cases[res.case] += 1
+            assert res.case_diagnostics  # classify_case's statistics are kept
             assert res.asymptotic_triple is not None
             assert triple_error(res.asymptotic_triple, truth) < 1e-3
             assert res.fit_triple is not None

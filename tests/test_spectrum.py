@@ -200,6 +200,13 @@ class TestNegativeAndZero:
     def test_dirichlet_has_none(self):
         assert negative_levels(SpectralTriple(0.0, -1.0, 0.0), GEOM) == []
 
+    def test_bound_state_next_to_eigenphase_pi(self):
+        # U has the eigenphase pi - 1e-6, which binds a state at kappa L0 = 2.0e6,
+        # beyond a search bound capped at 1e6 / min(l, L0)
+        levels = negative_levels(SpectralTriple(math.pi / 2, math.sin(1e-6), 0.3), GEOM)
+        assert len(levels) == 1
+        assert levels[0].wavenumber == pytest.approx(2.0e6 / GEOM.l0, rel=1e-6)
+
     def test_zero_mode_examples(self):
         assert zero_mode_exists(SpectralTriple(math.pi / 2, 0.0, -1.0), GEOM)
         assert not zero_mode_exists(SpectralTriple(math.pi / 2, 0.0, 1.0), GEOM)
