@@ -81,7 +81,7 @@ def _spectrum_text(spec: Spectrum, as_json: bool) -> str:
 def cmd_spectrum(args) -> int:
     geom = geometry_from_json(_json_arg(args.geometry))
     u = u_from_json(_json_arg(args.u))
-    spec = full_spectrum(u, geom, args.levels, tol=args.tol)
+    spec = full_spectrum(u, geom, args.levels)
     _emit(_spectrum_text(spec, args.json), args.output)
     return 0
 
@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="levels of one singularity")
     p.add_argument("--u", required=True, help="boundary matrix JSON or @file")
     p.add_argument("--levels", type=_positive_int, default=20)
-    p.add_argument("--tol", type=float, default=1e-10)
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 

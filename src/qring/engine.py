@@ -6,22 +6,21 @@ matrix (U - I) V + i L0 (U + I) D, where V and D hold the values and the
 outward derivatives of the regularized basis (cos kx, sin(kx)/k) at the
 joints.  The basis stays regular through k = 0, and k -> -i kappa continues
 it into the negative sector.  For one singularity and for two, that function
-is a fixed real quadratic form u^T A u on the jets
+is a fixed real quadratic form G = u^T A u on the jets
 u = (cos kh, sin(kh)/k, k sin kh), h = l/2 (basis_jets); the solvers supply
 A and their boundary matrices, and this module
 
 * evaluates the form and its first two k-derivatives from one jets call
   (secular), e^{-kappa l}-scaled in the negative sector;
-* scans k > 0 window by window (positive_roots), checking the number of
-  roots found against their asymptotic density and rescanning finer on a
-  deficit;
+* brackets every positive root in the cells between the points k l = n pi
+  (cell_roots) and refines all brackets in one vectorized call (refine);
 * scans ln kappa on a grid of fixed size (negative_roots), so the cost of
-  the negative sector does not depend on the geometry;
-* reads multiplicities off the boundary matrices of a whole window at once
+  the two-point negative sector does not depend on the geometry;
+* reads multiplicities off the boundary matrices of many roots at once
   (null_dims).
 
-Every scanner takes the secular function as one callable g(x, n) returning
-the stacked values [f, f', ..., f^(n)] at x (n <= 2), as secular builds it.
+refine and scan_roots take the secular function as one callable g(x, n)
+returning [f, f', ..., f^(n)] at x (n <= 2), as secular builds it.
 """
 from __future__ import annotations
 
@@ -30,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScanExhausted
+from .errors import InternalInvariant
 
-SCAN_STEPS_PER_PI = 8          # positive-sector grid spacing pi/(8 l)
 ROOT_XTOL_FACTOR = 1e-13       # |dk| * l target for refined roots
 ROOT_VALUE_TOL = 1e-10         # |f| below this (times the local magnitude) counts as a touching root
+END_LEVEL_TOL = 1e-12          # an end value below this times max |A_ij| is a level on the end
 RANK_TOL = 1e-8                # singular-value threshold on the row-equilibrated boundary matrix
 NEGATIVE_GRID_POINTS = 641     # 32 per decade over 20 decades
 SERIES_KH = 0.1                # below this k h the sin(kh)/k jets come from their Taylor series
@@ -82,7 +81,7 @@ def refine(g, lo, hi, flo, xtol):
     return x
 
 
-def scan_roots(g, xs, xtol, touch_radius=None, vertex_margin=math.inf, noise_floor=0.0) -> list[Root]:
+def scan_roots(g, xs, xtol, touch_radius) -> list[Root]:
     """All roots of a smooth real function between the points of the grid ``xs``.
 
     Sign changes are refined by refine on (f, f').  Every derivative sign
@@ -93,47 +92,23 @@ def scan_roots(g, xs, xtol, touch_radius=None, vertex_margin=math.inf, noise_flo
     neighboring sample magnitudes, so the scan is insensitive to how fast
     the function's envelope grows along the axis.
 
-    ``vertex_margin`` < inf skips extrema whose cell-edge quadratic
-    prediction sits further above zero than that multiple of the local
-    magnitude; use it only for functions whose dips are locally parabolic
-    (cell-edge extrapolation badly underestimates spike-like dips).
-
-    Cells whose ends both lie below ``noise_floor`` carry no sign
-    information and are skipped (the zero-mode condition can make the
-    function vanish to high order at the origin).
-
     Crossings closer than ``touch_radius`` to a touching root are absorbed
     into it: within the rounding plateau of a quadratic zero (|f| below the
     evaluation noise over a sqrt(eps)-wide span) sign changes carry no
     information, so such satellites are artifacts, not levels.
     """
-    if touch_radius is None:
-        touch_radius = 4 * xtol
     fv, dv = g(xs, 1)
-    quiet = np.abs(fv) < noise_floor
-    quiet_cell = quiet[:-1] & quiet[1:]
-
-    roots: list[Root] = []
-
     sign = np.sign(fv)
     exact = fv == 0.0
-    for i in np.nonzero(exact & ~(np.r_[True, quiet_cell] & np.r_[quiet_cell, True]))[0]:
-        roots.append(Root(float(xs[i]), touching=False))
+    roots = [Root(float(x), touching=False) for x in xs[exact]]
 
-    flips = np.nonzero((sign[:-1] * sign[1:] < 0) & ~exact[:-1] & ~exact[1:] & ~quiet_cell)[0]
+    flips = np.nonzero((sign[:-1] * sign[1:] < 0) & ~exact[:-1] & ~exact[1:])[0]
     if flips.size:
         refined = refine(g, xs[flips], xs[flips + 1], fv[flips], xtol)
         roots.extend(Root(float(x), touching=False) for x in refined)
 
     # derivative sign changes: candidate touching roots / hidden pairs
-    dflips = np.nonzero((np.sign(dv[:-1]) * np.sign(dv[1:]) < 0) & ~quiet_cell)[0]
-    if dflips.size and math.isfinite(vertex_margin):
-        curvature = (dv[dflips + 1] - dv[dflips]) / (xs[dflips + 1] - xs[dflips])
-        safe = np.where(curvature == 0.0, 1.0, curvature)
-        vertex = fv[dflips] - np.where(curvature == 0.0, 0.0, dv[dflips] ** 2 / (2.0 * safe))
-        local = np.maximum(np.abs(fv[dflips]), np.abs(fv[dflips + 1]))
-        suspicious = vertex * np.sign(fv[dflips]) < vertex_margin * local
-        dflips = dflips[suspicious]
+    dflips = np.nonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)[0]
     if dflips.size:
         ext = refine(lambda x, n: g(x, n + 1)[1:], xs[dflips], xs[dflips + 1], dv[dflips], xtol)
         val = g(ext, 0)[0]
@@ -164,106 +139,120 @@ def scan_roots(g, xs, xtol, touch_radius=None, vertex_margin=math.inf, noise_flo
     return deduped
 
 
-def scan_window_counted(
-    g,
-    x_lo,
-    x_hi,
-    step,
-    xtol,
-    touch_radius,
-    vertex_margin,
-    density,
-    count_slack=3.0,
-    max_refinements=5,
-) -> list[Root]:
-    """Uniform scan of [x_lo, x_hi] with eigenvalue-count verification.
+def zero_taylor(form, l, order):
+    """The coefficient of k^(2 order) in G = u^T A u at k = 0 (order <= 2), from
+    the jets' Taylor rows (1, h, 0), (-h^2/2, -h^3/6, h), (h^4/24, h^5/120, -h^3/6)."""
+    h = 0.5 * l
+    rows = np.array([[1.0, h, 0.0], [-h**2 / 2, -h**3 / 6, h], [h**4 / 24, h**5 / 120, -h**3 / 6]])
+    return float(sum(rows[i] @ form @ rows[order - i] for i in range(order + 1)))
 
-    Asymptotically the roots (weighted by multiplicity, touching roots
-    counting twice) fill the axis with uniform density, so a deficit
-    against that count means the grid straddled a root pair too narrow to
-    leave a local signature; the window is then rescanned at a finer step
-    until the count closes or the refinement budget runs out.
+
+def cell_roots(form, l, count, dims, zero_order):
+    """The lowest ``count`` roots k > 0 of G = u^T A u, as (wavenumbers, multiplicities).
+
+    With T = tan(kl/2), G = cos^2(kl/2) (A00 + 2 (A01/k + A02 k) T + a(k) T^2),
+    a(k) = A11/k^2 + 2 A12 + A22 k^2: the ends of cell n, k l in
+    (n pi, (n + 1) pi), take the values A00 (n even) and a(k) (n odd).  A
+    cell holds at most two roots, one per eigenvalue branch of the
+    Dirichlet-to-Neumann matrix plus the vertex's Robin part (Friedlander),
+    split by the zero of phi = a(k) sin^2(kl/2) - A00 cos^2(kl/2), where T is
+    the geometric mean of the two roots in T (split_roots): proven for one
+    singularity, checked for two.  An end value within END_LEVEL_TOL of zero
+    is a root; its cell holds at most one more, and the sign next to it is
+    that of the derivative of G whose order is its multiplicity.  Cell 0 starts
+    from the coefficient of G in k^2 of order ``zero_order``, the zero mode's
+    multiplicity.  ``dims(ks)`` gives the boundary matrices' null dimensions.
+    Doublets (on the ends at +-exchange) can need 2 count + 2 cells.
     """
-
-    def scan(step):
-        xs = np.linspace(x_lo, x_hi, max(int(math.ceil((x_hi - x_lo) / step)) + 1, 8))
-        return scan_roots(g, xs, xtol, touch_radius, vertex_margin)
-
-    roots = scan(step)
-    expected = (x_hi - x_lo) * density
-    for _ in range(max_refinements):
-        weight = sum(2 if r.touching else 1 for r in roots)
-        if weight >= expected - count_slack:
-            break
-        step /= 4.0
-        roots = scan(step)
-    return roots
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    for cells in (count + 2, 2 * count + 2):
+        ks, mults = _cells(form, l, cells, dims, zero_order)
+        if ks.size >= count:
+            order = np.argsort(ks)[:count]
+            return ks[order], mults[order]
+    raise InternalInvariant(f"{ks.size} levels in {cells} cells; {count} requested")
 
 
-def sweep(g, grid, xtol, noise_floor) -> list[Root]:
-    """Roots of f between the points of a grid, by sign changes alone.
+def _multiplicities(dims, ks):
+    return np.maximum(dims(ks), 1) if ks.size else np.empty(0, dtype=int)
 
-    Cells whose ends both lie below the rounding floor carry no sign
-    information and are skipped.
+
+def _cells(form, l, cells, dims, zero_order):
+    """The roots of cell_roots in the first ``cells`` cells and on their ends."""
+    g = secular(form, l)
+    n = np.arange(cells + 1)
+    k = n * math.pi / l
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = form[1, 1] / k**2 + 2.0 * form[1, 2] + form[2, 2] * k**2
+    value = np.where(n % 2 == 1, a, form[0, 0])
+    phi = np.where(n % 2 == 1, a, -form[0, 0])
+    value[0], phi[0] = zero_taylor(form, l, zero_order), form[1, 1] * (0.5 * l) ** 2 - form[0, 0]
+    on_end = np.abs(value) <= END_LEVEL_TOL * np.abs(form).max()
+    on_end[0] = zero_order > 0
+    # the sign of G just above (right) and just below (left) each end
+    right = np.sign(value)
+    left = right.copy()
+    ends = np.nonzero(on_end[1:])[0] + 1
+    end_mults = _multiplicities(dims, k[ends])
+    if ends.size:
+        order = np.minimum(end_mults, 2)
+        right[ends] = np.sign(g(k[ends], 2)[order, np.arange(ends.size)])
+        left[ends] = np.where(order % 2, -right[ends], right[ends])
+
+    lo, hi, s_lo, s_hi = k[:-1], k[1:], right[:-1], left[1:]
+    split = ~(on_end[:-1] | on_end[1:]) & (s_lo * s_hi > 0) & (phi[:-1] * phi[1:] < 0)
+    mid = np.full(cells, np.nan)
+    if form[1, 1] == 0.0 and form[2, 2] == 0.0 and split.any():
+        # a(k) = 2 A12 is constant: tan^2(kl/2) = A00 / a at the split
+        theta = 2.0 * math.atan(math.sqrt(form[0, 0] / (2.0 * form[1, 2]))) / l
+        mid[split] = np.where(n[:-1][split] % 2 == 0, lo[split] + theta, hi[split] - theta)
+    elif split.any():
+        phi_form = np.diag([-form[0, 0], 0.0, 0.0]) + np.pad(form[1:, 1:], ((1, 0), (1, 0)))
+        mid[split] = refine(secular(phi_form, l), lo[split], hi[split], phi[:-1][split], ROOT_XTOL_FACTOR / l)
+    scale = np.maximum(np.abs(value[:-1]), np.abs(value[1:]))
+    ks, mults = split_roots(g, l, lo, hi, s_lo, s_hi, mid, scale, dims)
+    return np.r_[k[ends], ks], np.r_[end_mults, mults]
+
+
+def split_roots(g, l, lo, hi, s_lo, s_hi, mid, scale, dims):
+    """The roots of g in cells (lo, hi) that hold at most two, as (positions, multiplicities).
+
+    Ends of opposite sign (``s_lo``, ``s_hi``: just inside) bracket one root.
+    Ends of one sign hold two if g changes sign at the split point ``mid``
+    (nan: none), a doublet there if |g(mid)| < ROOT_VALUE_TOL ``scale`` with
+    a two-dimensional null space (``dims``), or none.  All brackets are
+    refined in one call; every root has multiplicity max(1, dims).
     """
-    vals = g(grid, 0)[0]
-    loud = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])) >= noise_floor
-    roots = [Root(float(x), touching=False) for x in grid[:-1][loud & (vals[:-1] == 0.0)]]
-    flips = np.nonzero(loud & (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))[0]
-    if flips.size:
-        refined = refine(g, grid[flips], grid[flips + 1], vals[flips], xtol)
-        roots.extend(Root(float(x), touching=False) for x in refined)
-    return roots
+    one = s_lo * s_hi < 0
+    split = (s_lo * s_hi > 0) & ~np.isnan(mid)
+    lo_s, hi_s, s_s, mid = lo[split], hi[split], s_lo[split], mid[split]
+    g_mid = g(mid, 0)[0]
+    doublet = np.abs(g_mid) < ROOT_VALUE_TOL * scale[split]
+    doublet[doublet] = _multiplicities(dims, mid[doublet]) == 2
+    two = ~doublet & (np.sign(g_mid) * s_s < 0)
+    roots = refine(
+        g,
+        np.r_[lo[one], lo_s[two], mid[two]],
+        np.r_[hi[one], mid[two], hi_s[two]],
+        np.r_[s_lo[one], s_s[two], np.sign(g_mid[two])],
+        ROOT_XTOL_FACTOR / l,
+    )
+    return np.r_[mid[doublet], roots], np.r_[np.full(doublet.sum(), 2), _multiplicities(dims, roots)].astype(int)
 
 
-def positive_roots(g, l, count, multiplicity, noise_floor, touch_radius, vertex_margin):
-    """The lowest ``count`` accepted roots k > 0, as (Root, multiplicity) pairs.
-
-    A geometric prefix resolves roots below the first grid step; windows of
-    pi (count + 8) / l follow, each scanned on a pi/(8 l) grid with count
-    verification.  ``multiplicity(ks)`` returns one integer per root of a
-    window, 0 rejecting it.  Raises ScanExhausted when fewer than ``count``
-    roots are accepted below k l = 4 pi (count + 8).
-    """
-    step = math.pi / (SCAN_STEPS_PER_PI * l)
-    xtol = ROOT_XTOL_FACTOR / l
-    cap = 4.0 * math.pi * (count + 8) / l
-    found: list[tuple[Root, int]] = []
-
-    def accept(roots):
-        kept: list[Root] = []
-        for r in roots:
-            prev = kept[-1].x if kept else (found[-1][0].x if found else -math.inf)
-            if abs(r.x - prev) >= 1e-8 / l:
-                kept.append(r)
-        mults = multiplicity(np.array([r.x for r in kept]))
-        found.extend((r, int(m)) for r, m in zip(kept, mults) if m > 0)
-
-    # the uniform grid starts one step in; a tiny first root can hide below it
-    accept(sweep(g, np.geomspace(step * 1e-4, step, 48), xtol, noise_floor))
-    lo = step
-    window = math.pi * (count + 8) / l
-    while len(found) < count:
-        if lo >= cap:
-            raise ScanExhausted(f"found {len(found)} of {count} positive levels below k l = {cap * l:.1f}")
-        hi = min(lo + window, cap)
-        accept(scan_window_counted(g, lo, hi, step, xtol, touch_radius, vertex_margin, l / math.pi))
-        lo = hi + step * 1e-3
-    return found[:count]
-
-
-def negative_roots(g, l, kappa_lo, kappa_max, noise_floor) -> list[Root]:
+def negative_roots(g, l, kappa_lo, kappa_max) -> list[Root]:
     """All roots of the negative-sector secular function on [kappa_lo, kappa_max].
 
     One scan, with the dip test for hidden pairs, on a geometric grid of
     NEGATIVE_GRID_POINTS points whatever the geometry: at least 32 per
     decade while kappa_max / kappa_lo stays below 1e20.  ``g`` should
     evaluate the e^{-kappa l}-scaled secular function, which stays in float range
-    however deep the level.  Below kappa_lo the solvers cannot tell a level
+    however deep the level.  Below kappa_lo the solver cannot tell a level
     from the zero mode's rounding noise.
     """
     grid = np.geomspace(kappa_lo, kappa_max, NEGATIVE_GRID_POINTS)
-    return scan_roots(g, grid, ROOT_XTOL_FACTOR / l, 4e-7 / l, math.inf, noise_floor)
+    return scan_roots(g, grid, ROOT_XTOL_FACTOR / l, 4e-7 / l)
 
 
 def _sinc_jets(sign):

@@ -13,10 +13,6 @@ class NotUnitary(QringError):
     """An induced boundary-matrix transformation left the unitary group."""
 
 
-class ScanExhausted(QringError):
-    """A root scan hit its safety cap before finding the requested levels."""
-
-
 class InternalInvariant(QringError):
     """A solver invariant was violated; indicates a bug or pathological input."""
 

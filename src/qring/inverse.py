@@ -10,6 +10,9 @@ sin(k_n l) tends to zero without vanishing, and the root expansion
     k_n l = pi n + c1/n + c3/n^3 + ...      (no 1/n^2 term)
 
 has parity-dependent coefficients that encode the parameters (case III).
+Next to the case-II boundary a case-III prefix can still show one limit of
+cos(k l); its roots break the case-II relation, and the exact master
+equation of case III (solve_a_coefficients) recovers it.
 
 An independent fit, which uses no tail asymptotics, cross-checks all
 three regimes.  The secular function is linear in
@@ -20,8 +23,8 @@ one null-space solve: c is the last right singular vector of the
 column-scaled Phi.  Corner rule: the four corners (+-exchange, (0, +-1, 0))
 leave a null space of two dimensions and are probed outright first.  Chart
 rule: flipping the sign of c is the seam (xi, aR, bI) -> (xi + pi, -aR, -bI),
-so the sign is chosen with xi in [0, pi), and within 1e-12 of pi the xi = 0
-chart is taken.
+so the sign is chosen with xi in [0, pi), and within 1e-12 of pi or of 0
+the xi = 0 chart is taken.
 """
 from __future__ import annotations
 
@@ -44,6 +47,8 @@ from .spectrum import negative_levels, positive_levels, secular_forms, zero_mode
 from .u2 import Geometry, SpectralTriple
 
 CASE_I_SIN_TOL = 1e-9
+CASE_II_RESIDUAL_TOL = 1e-8    # largest residual of the case-II relation over case-II roots
+ONE_LIMIT_SPREAD = 0.5         # a tail cos(k l) spread below this has one limit
 CLASSIFY_MIN_LEVELS = 16       # positive levels classify_case needs
 
 
@@ -86,7 +91,7 @@ class CaseLabel:
 
 @dataclass(frozen=True)
 class AsymptoticCoeffs:
-    """Tail coefficients of the case-III root expansion, split by parity of n."""
+    """Tail coefficients of the case-III root expansion, split by parity of n (nan before it splits)."""
 
     c1_plus: float
     c1_minus: float
@@ -138,12 +143,15 @@ def classify_case(prefix: SpectrumPrefix, tol_sin: float = CASE_I_SIN_TOL) -> Ca
         "cos_odd_mean": float(odd.mean()) if odd.size else math.nan,
         "tail_abs_sin_mean": float(np.abs(sin_kl[tail]).mean()),
     }
-    if diag["cos_spread"] < 0.5:
+    if diag["cos_spread"] < ONE_LIMIT_SPREAD:
         # a single limiting value of cos(k l): case II, unless it sits on the
-        # sin(k l) -> 0 lattice where cases II and III become indistinguishable
+        # sin(k l) -> 0 lattice where cases II and III become indistinguishable,
+        # or the roots break the case-II relation: a case-III tail next to the
+        # case-II boundary, which has not split by parity within the prefix
         if 1.0 - abs(diag["cos_mean"]) < 0.05:
             raise Ambiguous("cos(k l) converges onto the boundary between cases II and III")
-        return CaseLabel("II", diag)
+        diag["case_II_residual"] = _case_two_fit(prefix)[2]
+        return CaseLabel("II" if diag["case_II_residual"] <= CASE_II_RESIDUAL_TOL else "III", diag)
     if even.size and odd.size and even.mean() > 0.5 and odd.mean() < -0.5:
         return CaseLabel("III", diag)
     raise Ambiguous(f"tail statistics fit no regime cleanly: {diag}")
@@ -163,6 +171,16 @@ def recover_case_I(prefix: SpectrumPrefix) -> SpectralTriple:
     return SpectralTriple(0.0, (1.0 - kl0**2) / (1.0 + kl0**2), 0.0)
 
 
+def _case_two_fit(prefix: SpectrumPrefix) -> tuple[float, float, float]:
+    """(bI / sin xi, cot xi) in least squares over the case-II relation, and
+    the largest residual it leaves over the roots."""
+    ks = np.asarray(prefix.positive_k)
+    kl = ks * prefix.geometry.l
+    design = np.column_stack([np.ones_like(ks), np.sin(kl) / (ks * prefix.geometry.l0)])
+    sol, *_ = np.linalg.lstsq(design, -np.cos(kl), rcond=None)
+    return float(sol[0]), float(sol[1]), float(np.abs(design @ sol + np.cos(kl)).max())
+
+
 def recover_case_II(prefix: SpectrumPrefix, tol_sin: float = CASE_I_SIN_TOL) -> SpectralTriple:
     """Case II: Re alpha = -cos xi.
 
@@ -172,18 +190,11 @@ def recover_case_II(prefix: SpectrumPrefix, tol_sin: float = CASE_I_SIN_TOL) -> 
     consistent, so this reproduces the textbook tail-limit procedure to
     machine precision).
     """
-    ks = np.asarray(prefix.positive_k)
-    l, l0 = prefix.geometry.l, prefix.geometry.l0
-    kl = ks * l
-    sin_kl, cos_kl = np.sin(kl), np.cos(kl)
-    if np.abs(sin_kl).max() < tol_sin:
+    if np.abs(np.sin(np.asarray(prefix.positive_k) * prefix.geometry.l)).max() < tol_sin:
         raise DegenerateTail("no root with nonvanishing sin(k l); cot(xi) is undetermined")
-    design = np.column_stack([np.ones_like(ks), sin_kl / (ks * l0)])
-    sol, *_ = np.linalg.lstsq(design, -cos_kl, rcond=None)
-    ratio, cot_xi = float(sol[0]), float(sol[1])
+    ratio, cot_xi, _ = _case_two_fit(prefix)
     xi = math.atan2(1.0, cot_xi)  # in (0, pi)
-    sin_xi = math.sin(xi)
-    return SpectralTriple(xi, -math.cos(xi), ratio * sin_xi)
+    return SpectralTriple(xi, -math.cos(xi), ratio * math.sin(xi))
 
 
 def estimate_c_coeffs(
@@ -407,7 +418,7 @@ def fit_parameters(prefix: SpectrumPrefix, residual_target: float = 1e-8) -> Fit
     c is the last right singular vector of the column-scaled Phi,
     normalized to sin^2 xi + cos^2 xi = 1.  Its sign is the chart: flipping
     c maps (xi, aR, bI) to (xi + pi, -aR, -bI), and the sign is chosen
-    with xi in [0, pi), taking the xi = 0 chart within 1e-12 of pi.
+    with xi in [0, pi), taking xi = 0 within 1e-12 of pi or of 0.
     (aR, bI) is clamped onto the unit disc.  The four corners, where the
     null space has more than one dimension, are probed outright first.
     A candidate must keep its residual within 1e3 x ``residual_target``
@@ -432,6 +443,8 @@ def fit_parameters(prefix: SpectrumPrefix, residual_target: float = 1e-8) -> Fit
     xi = abs(math.atan2(sin_xi, cos_xi))  # in [0, pi); abs turns -0.0 into 0.0
     if xi > math.pi - 1e-12:
         b_i, a_r, xi = -b_i, -a_r, 0.0
+    elif xi < 1e-12:
+        xi = 0.0
     radius = max(math.hypot(a_r, b_i) / norm, 1.0)
     triple = SpectralTriple(xi, a_r / (norm * radius), b_i / (norm * radius))
     residual = float(np.linalg.norm(rows @ _coefficients(triple)))
@@ -489,11 +502,14 @@ def recover_parameters(prefix: SpectrumPrefix) -> RecoveryResult:
         elif label.case == "II":
             asym = recover_case_II(prefix)
         else:
-            cc = estimate_c_coeffs(prefix)
             # the tail limits identify the coefficients; the master equation
-            # they derive from then pins (a1, a2, a3) without truncation error
+            # they derive from then pins (a1, a2, a3) without truncation error.
+            # A tail with one limit of cos(k l) has no limits per parity (nan)
             a1, a2, a3 = solve_a_coefficients(prefix)
-            cc = dataclasses.replace(cc, a1=a1, a2=a2, a3=a3)
+            if label.diagnostics["cos_spread"] < ONE_LIMIT_SPREAD:
+                cc = AsymptoticCoeffs(math.nan, math.nan, math.nan, math.nan, a1, a2, a3)
+            else:
+                cc = dataclasses.replace(estimate_c_coeffs(prefix), a1=a1, a2=a2, a3=a3)
             asym = recover_case_III(cc, prefix.geometry)
     except (Ambiguous, DegenerateTail, NoisyTail, Inconsistent) as exc:
         notes.append(f"analytic path unavailable: {exc}")

@@ -13,10 +13,11 @@ spectral triple (xi, Re alpha, Im beta), and linearly: on the engine's jets
 u = (cos kh, sin(kh)/k, k sin kh), h = l/2, it is the fixed quadratic form
 u^T A u with A = sum_i c_i A_i, c = (bI, sin xi, cos xi, aR)
 (secular_forms, secular_form), in all three sectors.  The shared engine
-(qring.engine) evaluates it with its derivatives and finds its roots: a
-windowed uniform scan for k > 0 and one scan in ln kappa of e^{-kappa l} G
-for the negative sector.  Multiplicities are read off the 2x2 boundary
-matrix (U - I) V + i L0 (U + I) D on the regularized basis
+(qring.engine) evaluates it with its derivatives and brackets every
+positive root in the cells between the points k l = n pi; the zero of the
+trace of M_E + H, the edge's Dirichlet-to-Neumann matrix plus the vertex's
+Robin part, splits the bound states.  Multiplicities are read off the 2x2
+boundary matrix (U - I) V + i L0 (U + I) D on the regularized basis
 (cos kx, sin(kx)/k), one form for all three sectors (regular_matrix): a
 doubly degenerate level requires all four entries to vanish, which happens
 only for Im alpha = Re beta = 0, Im beta != 0.
@@ -30,7 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import basis_jets, boundary_matrix, negative_roots, null_dims, null_space, positive_roots, secular
+from .engine import (
+    ROOT_XTOL_FACTOR,
+    basis_jets,
+    boundary_matrix,
+    cell_roots,
+    null_dims,
+    null_space,
+    refine,
+    secular,
+    split_roots,
+    zero_taylor,
+)
 from .errors import InternalInvariant, NotSusyCase, RankMismatch
 from .u2 import (
     SIGMA1,
@@ -43,6 +55,7 @@ from .u2 import (
 )
 
 LOCUS_TOL = 1e-10
+ZERO_MODE_TOL = 1e-10  # |G(0)| below this is a zero mode
 EIGENPHASE_PI_TOL = 1e-14  # |cos xi + aR| below this is an eigenphase of pi
 
 
@@ -133,15 +146,16 @@ def secular_negative_deriv(triple: SpectralTriple, geom: Geometry, kappa):
         return _scalar(np.exp(kappa * geom.l) * (dq + geom.l * q))
 
 
-def zero_mode_exists(triple: SpectralTriple, geom: Geometry, tol: float = 1e-10) -> bool:
+def zero_mode_exists(triple: SpectralTriple, geom: Geometry, tol: float = ZERO_MODE_TOL) -> bool:
     """Whether an E = 0 eigenstate exists (the k -> 0 limit of the secular condition)."""
     return abs(float(_secular(triple, geom)(0.0)[0])) < tol
 
 
-def _noise_floor(t: SpectralTriple, geom: Geometry) -> float:
-    """Rounding floor of the secular function near k = 0: 1e-12 of its magnitude envelope there."""
-    envelope = abs(t.beta_i) + abs(math.sin(t.xi)) + abs(math.cos(t.xi) - t.alpha_r) * (geom.l / (2 * geom.l0))
-    return 1e-12 * max(envelope, 1e-30)
+def _zero_order(t: SpectralTriple, geom: Geometry) -> int:
+    """The zero mode's multiplicity, 0 without one: one decision for all three sectors."""
+    if not zero_mode_exists(t, geom):
+        return 0
+    return max(int(null_dims(*regular_matrix(triple_to_matrix(t), geom, 0.0))), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +193,6 @@ class Level:
     wavenumber: float
     energy: float
     multiplicity: int
-    note: str | None = None
 
     def __post_init__(self):
         if self.sector not in ("negative", "zero", "positive"):
@@ -232,24 +245,12 @@ class Spectrum:
 
 
 def positive_levels(triple: SpectralTriple, geom: Geometry, count: int) -> list[Level]:
-    """The lowest ``count`` positive levels.
-
-    Scans the secular function with grid spacing pi/(8 l), refines sign
-    changes, and resolves touching roots through the derivative.  Raises
-    ScanExhausted when fewer than ``count`` roots exist below the safety cap
-    k l = 4 pi (count + 8).
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    """The lowest ``count`` positive levels, each from its own bracket (engine.cell_roots)."""
     t = _as_triple(triple)
     rep = triple_to_matrix(t)
-    # the secular function vanishes at every root, so its null space is never empty
-    mult = lambda ks: np.maximum(null_dims(*regular_matrix(rep, geom, ks)), 1)
-    levels: list[Level] = []
-    for root, m in positive_roots(_secular(t, geom), geom.l, count, mult, _noise_floor(t, geom), 2e-7 / geom.l, 2.0):
-        note = "even-order secular root with one-dimensional null space" if root.touching and m == 1 else None
-        levels.append(Level("positive", root.x, root.x**2, m, note))
-    return levels
+    dims = lambda ks: null_dims(*regular_matrix(rep, geom, ks))
+    ks, mults = cell_roots(secular_form(t, geom), geom.l, count, dims, _zero_order(t, geom))
+    return [Level("positive", float(k), float(k) ** 2, int(m)) for k, m in zip(ks, mults)]
 
 
 def negative_search_bound(t: SpectralTriple, geom: Geometry) -> float:
@@ -264,7 +265,7 @@ def negative_search_bound(t: SpectralTriple, geom: Geometry) -> float:
     eigenphase reaches pi (c+ -> 0); an eigenphase of pi contributes
     nothing, and c+ within EIGENPHASE_PI_TOL of zero, the rounding of a
     triple on that locus, counts as pi.  The factor two keeps the deepest
-    root inside the scan grid.
+    root inside its bracket.
     """
     c_plus, c_minus = math.cos(t.xi) + t.alpha_r, math.cos(t.xi) - t.alpha_r
     spread = math.sin(t.xi) + math.sqrt(max(1.0 - t.alpha_r**2, 0.0))
@@ -277,43 +278,46 @@ def negative_search_bound(t: SpectralTriple, geom: Geometry) -> float:
 
 
 def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:
-    """All negative-energy levels (at most two exist)."""
-    t = _as_triple(triple)
-    # below the noise floor values carry no sign information (a degenerate zero
-    # mode makes the function vanish to fourth order at kappa = 0); levels
-    # below kappa = 1e-7/L0 are left to the zero-mode test
-    kmax = negative_search_bound(t, geom)
-    roots = negative_roots(_secular(t, geom, True), geom.l, 1e-7 / geom.l0, kmax, _noise_floor(t, geom))
-    ks = np.array([r.x for r in roots])
-    if ks.size > 2:
-        raise InternalInvariant(f"negative sector produced {ks.size} levels; at most 2 exist")
-    mults = np.maximum(null_dims(*regular_matrix(triple_to_matrix(t), geom, ks, True)), 1)
-    levels = [Level("negative", float(k), -float(k) ** 2, int(m)) for k, m in zip(ks, mults)]
-    levels.sort(key=lambda lv: lv.energy)
-    return levels
+    """All negative-energy levels (at most two), each from its own bracket.
 
-
-def zero_level(triple: SpectralTriple, geom: Geometry, tol: float = 1e-10) -> Level | None:
-    """The E = 0 level if present, with multiplicity from the k = 0 boundary matrix."""
-    t = _as_triple(triple)
-    if not zero_mode_exists(t, geom, tol):
-        return None
-    return Level("zero", 0.0, 0.0, max(int(null_dims(*regular_matrix(triple_to_matrix(t), geom, 0.0))), 1))
-
-
-def full_spectrum(u, geom: Geometry, count: int = 20, tol: float = 1e-10) -> Spectrum:
-    """Negative, zero, and the lowest ``count`` positive levels, merged ascending.
-
-    Depends on u only through its spectral triple; ``tol`` is the zero-mode
-    detection tolerance.
+    The eigenvalues of M_E + H increase with kappa and cross zero at most
+    once each below negative_search_bound.  Where their sum
+    2 kappa coth(kappa l) - 2 c vanishes, c = sin xi / ((cos xi + aR) L0), in
+    [c - 1/l, c], one is <= 0 <= the other: that zero splits the bound
+    states.  At kappa = 0 the scaled G has the sign of (-1)^m times its
+    order-m coefficient in k^2, m the zero mode's multiplicity; a degenerate
+    zero mode (m = 2) takes both branches.
     """
+    t = _as_triple(triple)
+    m = _zero_order(t, geom)
+    if m == 2:
+        return []
+    form, l = secular_form(t, geom), geom.l
+    g = secular(form, l, True)
+    kmax = negative_search_bound(t, geom)
+    c_plus = math.cos(t.xi) + t.alpha_r
+    c = math.sin(t.xi) / (c_plus * geom.l0) if c_plus else math.inf
+    mid = math.nan
+    if 1.0 / l < c < kmax:
+        trace = lambda x, n: np.array([x / np.tanh(x * l) - c, 1.0 / np.tanh(x * l) - x * l / np.sinh(x * l) ** 2])
+        with np.errstate(over="ignore"):
+            mid = refine(trace, [c - 1.0 / l], [c], [-1.0], ROOT_XTOL_FACTOR / l)[0]
+    ends = np.array([(-1) ** m * zero_taylor(form, l, m), float(g(kmax)[0])])
+    rep, s = triple_to_matrix(t), np.sign(ends)
+    dims = lambda ks: null_dims(*regular_matrix(rep, geom, ks, True))
+    scale = np.abs(ends).max(keepdims=True)
+    ks, mults = split_roots(g, l, np.r_[0.0], np.r_[kmax], s[:1], s[1:], np.r_[mid], scale, dims)
+    return [Level("negative", float(k), -float(k) ** 2, int(n)) for k, n in sorted(zip(ks, mults), reverse=True)]
+
+
+def full_spectrum(u, geom: Geometry, count: int = 20) -> Spectrum:
+    """Negative, zero, and the lowest ``count`` positive levels of u's spectral triple, ascending."""
     t = _as_triple(u)
-    levels = list(negative_levels(t, geom))
-    zl = zero_level(t, geom, tol)
-    if zl is not None:
-        levels.append(zl)
+    levels = negative_levels(t, geom)
+    m = _zero_order(t, geom)
+    if m:
+        levels.append(Level("zero", 0.0, 0.0, m))
     levels.extend(positive_levels(t, geom, count))
-    levels.sort(key=lambda lv: lv.energy)
     return Spectrum(tuple(levels), provenance=t)
 
 

@@ -20,9 +20,11 @@ l/2 scaled by e^{-kappa l/2} (U is block-diagonal, so the rank is kept).
 On that basis the determinant is a fixed real quadratic form (up to one
 constant phase) in (cos kh, sin(kh)/k, k sin kh), h = l/2, the same jets
 on which the one-point function is a form; the shared engine
-(qring.engine) evaluates it with its derivatives, finds its roots and
-reads multiplicities off the matrix.  The textbook plane-wave matrix is
-exposed as BlockSecular for inspection; both share their zeros at k > 0.
+(qring.engine) evaluates it with its derivatives, brackets every positive
+root in the cells between the points k l = n pi, scans ln kappa for the
+bound states and reads multiplicities off the matrix.  The textbook
+plane-wave matrix is exposed as BlockSecular for inspection; both share
+their zeros at k > 0.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import basis_jets, boundary_matrix, negative_roots, null_dims, positive_roots, secular
+from .engine import basis_jets, boundary_matrix, cell_roots, negative_roots, null_dims, secular
 from .errors import NotSpecialUnitary
 from .spectrum import Level, Spectrum, negative_search_bound
 from .u2 import (
@@ -175,12 +177,9 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     """Negative, zero, and the lowest ``count`` positive levels of the pair.
 
     Roots of the closed-form real secular function (_secular_form) come
-    from the engine the one-point solver uses; a root is kept when the
-    boundary matrix there has a null space, whose dimension is the
-    multiplicity.
+    from the engine the one-point solver uses; multiplicities are null
+    dimensions of the boundary matrix, at least one at a positive root.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
     geom = sys.geometry
     _, form = _secular_form(sys)
     dims = lambda k, hyperbolic=False: null_dims(*regular_matrix(sys, k, hyperbolic))
@@ -203,16 +202,11 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     # the form's coefficients carry rounding errors that move a zero mode's
     # double root at kappa = 0 out to about 1e-8 / sqrt(l L0): the scan starts above
     kappa_lo = 1e-6 / math.sqrt(geom.l * geom.l0)
-    ks = np.array([r.x for r in negative_roots(secular(form, geom.l, True), geom.l, kappa_lo, kmax, 0.0)])
+    ks = np.array([r.x for r in negative_roots(secular(form, geom.l, True), geom.l, kappa_lo, kmax)])
     levels.extend(Level("negative", float(k), -float(k) ** 2, int(m)) for k, m in zip(ks, dims(ks, True)) if m)
 
-    # positive sector, windowed, with eigenvalue-count verification: the
-    # level pairs of weakly coupled halves close like 1/k and eventually
-    # hide inside one grid cell without any local signature
-    g = secular(form, geom.l)
-    floor = 1e-12 * max(1.0, abs(float(g(math.pi / (8.0 * geom.l))[0])))
-    for root, m in positive_roots(g, geom.l, count, dims, floor, 4e-7 / geom.l, math.inf):
-        levels.append(Level("positive", root.x, root.x**2, m))
+    ks, mults = cell_roots(form, geom.l, count, dims, zero_dim)
+    levels.extend(Level("positive", float(k), float(k) ** 2, int(m)) for k, m in zip(ks, mults))
     levels.sort(key=lambda lv: lv.energy)
     return Spectrum(tuple(levels), provenance=None, max_negative=4)
 

@@ -24,7 +24,9 @@ def sweep_matrices():
 class TestNegativeScanBounded:
     def test_grid_and_time_do_not_grow_with_the_geometry(self, monkeypatch):
         # the largest array handed to the negative-sector secular function of
-        # either solver is the same at every L0/l, and every call stays fast
+        # either solver does not grow with L0/l, and every call stays fast:
+        # the one-point solver evaluates at most two brackets at a time, the
+        # pair scans a grid of fixed size
         largest: dict[str, int] = {}
         solver = ["one"]
         basis_jets = engine.basis_jets
@@ -50,8 +52,9 @@ class TestNegativeScanBounded:
                 # the pair (U, exchange) is the one-point circle, bound states included
                 ks = sorted(lv.wavenumber for lv in neg)
                 assert sorted(pair.negative_wavenumbers()) == pytest.approx(ks, rel=1e-10)
-            sizes.add((largest["one"], largest["two"]))
-        assert sizes == {(engine.NEGATIVE_GRID_POINTS, engine.NEGATIVE_GRID_POINTS)}
+            assert largest.get("one", 0) <= 2
+            sizes.add(largest["two"])
+        assert sizes == {engine.NEGATIVE_GRID_POINTS}
 
     @pytest.mark.parametrize("l0", [1e-3, 1e-4])
     def test_separated_level_deep_at_the_far_side_is_simple(self, l0):

@@ -118,6 +118,20 @@ class TestCaseII:
         with pytest.raises(DegenerateTail):
             recover_case_II(SpectrumPrefix(ks, False, (), GEOM))
 
+    @pytest.mark.parametrize(
+        "truth, l0",
+        [(SpectralTriple(1.6293, 0.0653, 0.8610), 0.0555), (SpectralTriple(1.8442, 0.2811, -0.6750), 0.0417)],
+    )
+    def test_slow_case_three_tail_is_not_case_two(self, truth, l0):
+        # at small L0/l these case-III tails have a cos(k l) spread below 0.5,
+        # but their roots leave the case-II relation a residual of about 0.1
+        geom = Geometry(1.0, l0)
+        res = recover_parameters(prefix_from_spectrum(full_spectrum(truth, geom, 200), geom))
+        assert res.case == "III"
+        assert not any("disagree" in note for note in res.warnings)
+        assert triple_error(res.asymptotic_triple, truth) < 1e-9
+        assert triple_error(res.triple, truth) < 1e-9
+
 
 class TestAsymptoticCoeffs:
     def test_synthetic_sequence_recovered(self):

@@ -188,6 +188,60 @@ class TestPositiveLevels:
         assert all(lv.multiplicity == 1 for lv in levels)
 
 
+def locus_doublets():
+    """Triples on the degeneracy locus with a doublet inside a cell, and its k.
+
+    Given k and L0 (l = 1), bI cos kl = -sin xi, bI k L0 sin kl = -(cos xi - aR)
+    and bI sin kl = -(cos xi + aR) k L0 fix the triple up to the scale
+    p = cos xi + aR, which sin^2 xi + cos^2 xi = 1 sets; bI^2 = 1 - aR^2
+    then holds too.
+    """
+    out = []
+    for k, l0 in zip(np.linspace(0.7, 11.0, 12), np.geomspace(0.05, 3.0, 12)):
+        q, c, s = k * l0, math.cos(k), math.sin(k)
+        p = math.copysign(1.0, c / s) / math.hypot(q * c / s, (1 + q * q) / 2)
+        b_i = -p * q / s
+        out.append((SpectralTriple(math.atan2(-b_i * c, p * (1 + q * q) / 2), p * (1 - q * q) / 2, b_i), l0, k))
+    return out
+
+
+class TestCells:
+    @pytest.mark.parametrize("d", [0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8])
+    def test_state_near_zero_listed_once(self, d):
+        # bI0 is the zero-mode value of (xi, aR) = (0.7, 0.3) at l = L0 = 1; next
+        # to it the state sits at |E| ~ |d|, in one sector, once
+        b_i = -math.sin(0.7) - (math.cos(0.7) - 0.3) / 2 + d
+        spec = full_spectrum(SpectralTriple(0.7, 0.3, b_i), GEOM, 10)
+        assert sum(lv.multiplicity for lv in spec if abs(lv.energy) < 1e-6) == 1
+
+    @pytest.mark.parametrize("truth, l0, k", locus_doublets())
+    def test_in_cell_doublet_found_once(self, truth, l0, k):
+        assert truth.beta_i**2 + truth.alpha_r**2 == pytest.approx(1.0, abs=1e-12)
+        levels = positive_levels(truth, Geometry(1.0, l0), 20)
+        near = [lv for lv in levels if abs(lv.wavenumber - k) < 1e-6]
+        assert len(near) == 1 and near[0].multiplicity == 2
+        assert near[0].wavenumber == pytest.approx(k, abs=1e-12)
+
+    @pytest.mark.parametrize("kappa, l0", [(0.8, 1.0), (2.0, 0.3), (0.3, 3.0), (5.0, 0.05)])
+    def test_bound_state_doublet_found_once(self, kappa, l0):
+        # the hyperbolic locus conditions bI cosh kl = -sin xi,
+        # bI k L0 sinh kl = cos xi - aR, bI sinh kl = -(cos xi + aR) k L0 at l = 1:
+        # both eigenvalues of M_E + H vanish at kappa, where their sum does
+        q, ch, sh = kappa * l0, math.cosh(kappa), math.sinh(kappa)
+        b_i = -1.0 / math.hypot(ch, sh * (q - 1 / q) / 2)
+        truth = SpectralTriple(math.atan2(-b_i * ch, b_i * sh * (q - 1 / q) / 2), -b_i * sh * (q + 1 / q) / 2, b_i)
+        (level,) = negative_levels(truth, Geometry(1.0, l0))
+        assert level.multiplicity == 2 and level.wavenumber == pytest.approx(kappa, rel=1e-12)
+
+    @pytest.mark.parametrize("l", [1.0, 0.3, 7.0])
+    def test_levels_on_the_cell_ends_are_exact(self, l):
+        geom = Geometry(l, 1.0)
+        for n, lv in enumerate(positive_levels(SpectralTriple(math.pi / 2, 0.0, 1.0), geom, 8)):
+            assert lv.wavenumber == (2 * n + 1) * math.pi / l and lv.multiplicity == 2
+        for n, lv in enumerate(positive_levels(SpectralTriple(0.0, -1.0, 0.0), geom, 8), start=1):
+            assert lv.wavenumber == n * math.pi / l and lv.multiplicity == 1
+
+
 class TestNegativeAndZero:
     def test_single_negative_closed_form(self):
         # kappa L0 = sqrt((1 - aR)/(1 + aR))
