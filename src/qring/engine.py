@@ -13,7 +13,8 @@ A and their boundary matrices, and this module
 * evaluates the form and its first two k-derivatives from one jets call
   (secular), e^{-kappa l}-scaled in the negative sector;
 * brackets every positive root in the cells between the points k l = n pi
-  (cell_roots) and refines all brackets in one vectorized call (refine);
+  (cell_brackets), then refines all brackets in one vectorized call
+  (solve_brackets) or tests data against them (slots_hold);
 * scans ln kappa on a grid of fixed size (negative_roots), so the cost of
   the two-point negative sector does not depend on the geometry;
 * reads multiplicities off the boundary matrices of many roots at once
@@ -148,7 +149,18 @@ def zero_taylor(form, l, order):
 
 
 def cell_roots(form, l, count, dims, zero_order):
-    """The lowest ``count`` roots k > 0 of G = u^T A u, as (wavenumbers, multiplicities).
+    """The lowest ``count`` roots k > 0 of G = u^T A u, as (wavenumbers, multiplicities):
+    cell_brackets, refined in one call (solve_brackets)."""
+    ks, mults = solve_brackets(secular(form, l), dims, cell_brackets(form, l, count, dims, zero_order), l)
+    order = np.argsort(ks)[:count]
+    return ks[order], mults[order]
+
+
+def cell_brackets(form, l, count, dims, zero_order):
+    """One slot per root k > 0 of G = u^T A u, for at least the lowest ``count``,
+    as (exact, exact multiplicities, lo, hi, side): the roots known exactly,
+    and brackets [lo, hi] that hold one root each, with G of sign ``side``
+    just above lo.
 
     With T = tan(kl/2), G = cos^2(kl/2) (A00 + 2 (A01/k + A02 k) T + a(k) T^2),
     a(k) = A11/k^2 + 2 A12 + A22 k^2: the ends of cell n, k l in
@@ -156,7 +168,7 @@ def cell_roots(form, l, count, dims, zero_order):
     cell holds at most two roots, one per eigenvalue branch of the
     Dirichlet-to-Neumann matrix plus the vertex's Robin part (Friedlander),
     split by the zero of phi = a(k) sin^2(kl/2) - A00 cos^2(kl/2), where T is
-    the geometric mean of the two roots in T (split_roots): proven for one
+    the geometric mean of the two roots in T (split_brackets): proven for one
     singularity, checked for two.  An end value within END_LEVEL_TOL of zero
     is a root; its cell holds at most one more, and the sign next to it is
     that of the derivative of G whose order is its multiplicity.  Cell 0 starts
@@ -167,11 +179,10 @@ def cell_roots(form, l, count, dims, zero_order):
     if count < 1:
         raise ValueError("count must be at least 1")
     for cells in (count + 2, 2 * count + 2):
-        ks, mults = _cells(form, l, cells, dims, zero_order)
-        if ks.size >= count:
-            order = np.argsort(ks)[:count]
-            return ks[order], mults[order]
-    raise InternalInvariant(f"{ks.size} levels in {cells} cells; {count} requested")
+        slots = _cells(form, l, cells, dims, zero_order)
+        if slots[0].size + slots[2].size >= count:
+            return slots
+    raise InternalInvariant(f"{slots[0].size + slots[2].size} levels in {cells} cells; {count} requested")
 
 
 def _multiplicities(dims, ks):
@@ -179,7 +190,7 @@ def _multiplicities(dims, ks):
 
 
 def _cells(form, l, cells, dims, zero_order):
-    """The roots of cell_roots in the first ``cells`` cells and on their ends."""
+    """The slots of cell_brackets in the first ``cells`` cells and on their ends."""
     g = secular(form, l)
     n = np.arange(cells + 1)
     k = n * math.pi / l
@@ -211,18 +222,17 @@ def _cells(form, l, cells, dims, zero_order):
         phi_form = np.diag([-form[0, 0], 0.0, 0.0]) + np.pad(form[1:, 1:], ((1, 0), (1, 0)))
         mid[split] = refine(secular(phi_form, l), lo[split], hi[split], phi[:-1][split], ROOT_XTOL_FACTOR / l)
     scale = np.maximum(np.abs(value[:-1]), np.abs(value[1:]))
-    ks, mults = split_roots(g, l, lo, hi, s_lo, s_hi, mid, scale, dims)
-    return np.r_[k[ends], ks], np.r_[end_mults, mults]
+    exact, exact_mults, *brackets = split_brackets(g, lo, hi, s_lo, s_hi, mid, scale, dims)
+    return (np.concatenate((k[ends], exact)), np.concatenate((end_mults, exact_mults)), *brackets)
 
 
-def split_roots(g, l, lo, hi, s_lo, s_hi, mid, scale, dims):
-    """The roots of g in cells (lo, hi) that hold at most two, as (positions, multiplicities).
+def split_brackets(g, lo, hi, s_lo, s_hi, mid, scale, dims):
+    """The slots of cells (lo, hi) that hold at most two roots of g, as cell_brackets' tuple.
 
     Ends of opposite sign (``s_lo``, ``s_hi``: just inside) bracket one root.
     Ends of one sign hold two if g changes sign at the split point ``mid``
     (nan: none), a doublet there if |g(mid)| < ROOT_VALUE_TOL ``scale`` with
-    a two-dimensional null space (``dims``), or none.  All brackets are
-    refined in one call; every root has multiplicity max(1, dims).
+    a two-dimensional null space (``dims``), or none.
     """
     one = s_lo * s_hi < 0
     split = (s_lo * s_hi > 0) & ~np.isnan(mid)
@@ -231,14 +241,38 @@ def split_roots(g, l, lo, hi, s_lo, s_hi, mid, scale, dims):
     doublet = np.abs(g_mid) < ROOT_VALUE_TOL * scale[split]
     doublet[doublet] = _multiplicities(dims, mid[doublet]) == 2
     two = ~doublet & (np.sign(g_mid) * s_s < 0)
-    roots = refine(
-        g,
-        np.r_[lo[one], lo_s[two], mid[two]],
-        np.r_[hi[one], mid[two], hi_s[two]],
-        np.r_[s_lo[one], s_s[two], np.sign(g_mid[two])],
-        ROOT_XTOL_FACTOR / l,
-    )
-    return np.r_[mid[doublet], roots], np.r_[np.full(doublet.sum(), 2), _multiplicities(dims, roots)].astype(int)
+    lo, hi = np.concatenate((lo[one], lo_s[two], mid[two])), np.concatenate((hi[one], mid[two], hi_s[two]))
+    side = np.concatenate((s_lo[one], s_s[two], np.sign(g_mid[two])))
+    return mid[doublet], np.full(doublet.sum(), 2), lo, hi, side
+
+
+def solve_brackets(g, dims, slots, l):
+    """The roots of g in the slots of cell_brackets or split_brackets, as (positions,
+    multiplicities): every bracket refined in one call, each refined root of
+    multiplicity max(1, dims)."""
+    exact, exact_mults, lo, hi, side = slots
+    roots = refine(g, lo, hi, side, ROOT_XTOL_FACTOR / l)
+    return np.concatenate((exact, roots)), np.concatenate((exact_mults, _multiplicities(dims, roots))).astype(int)
+
+
+def slots_hold(g, slots, data, delta):
+    """Whether datum i lies in the i-th lowest slot for every i, without refining a root.
+
+    An exact root holds a datum within ``delta`` of it.  A bracket, whose one
+    root is within ``delta`` of the datum exactly when g changes sign on
+    [datum - delta, datum + delta] within the bracket, is read off the signs
+    of g at the ends of that span: one evaluation for all data.
+    """
+    exact, _, lo, hi, side = slots
+    lo, hi, side = np.concatenate((exact, lo)), np.concatenate((exact, hi)), np.concatenate((np.zeros_like(exact), side))
+    order = np.argsort(0.5 * (lo + hi))[: len(data)]
+    lo, hi, side = lo[order], hi[order], side[order]
+    a, b = np.maximum(lo, np.subtract(data, delta)), np.minimum(hi, np.add(data, delta))
+    if not (a <= b).all():
+        return False
+    f_a, f_b = np.sign(g(np.concatenate((a, b)), 0)[0]).reshape(2, -1)
+    f_a, f_b = np.where(a == lo, side, f_a), np.where(b == hi, -side, f_b)
+    return bool(np.all((f_a * side >= 0) & (f_b * side <= 0)))
 
 
 def negative_roots(g, l, kappa_lo, kappa_max) -> list[Root]:

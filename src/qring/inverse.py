@@ -24,7 +24,9 @@ column-scaled Phi.  Corner rule: the four corners (+-exchange, (0, +-1, 0))
 leave a null space of two dimensions and are probed outright first.  Chart
 rule: flipping the sign of c is the seam (xi, aR, bI) -> (xi + pi, -aR, -bI),
 so the sign is chosen with xi in [0, pi), and within 1e-12 of pi or of 0
-the xi = 0 chart is taken.
+the xi = 0 chart is taken.  A candidate is accepted when datum i lies in
+the i-th slot of its levels, read off the bracket stage the forward solvers
+share (positive_brackets, bound_state_brackets) without refining a root.
 """
 from __future__ import annotations
 
@@ -42,8 +44,9 @@ from .errors import (
     NoisyTail,
     QringError,
 )
-from .engine import secular
-from .spectrum import negative_levels, positive_levels, secular_forms, zero_mode_exists
+from .engine import basis_jets, slots_hold
+from .spectrum import bound_state_brackets, positive_brackets, secular_forms, zero_mode_exists
+from .spectrum import negative_levels, positive_levels  # noqa: F401  (the benchmark's trace of invert wraps them)
 from .u2 import Geometry, SpectralTriple
 
 CASE_I_SIN_TOL = 1e-9
@@ -347,7 +350,8 @@ def _fit_rows(prefix: SpectrumPrefix) -> np.ndarray:
     forms = secular_forms(geom)
 
     def rows(x, hyperbolic):
-        return np.stack([secular(a, geom.l, hyperbolic)(x)[0] for a in forms], axis=-1)
+        u = basis_jets(np.asarray(x, dtype=float), geom.l / 2.0, hyperbolic, 0)[0]
+        return np.einsum("in,fij,jn->nf", u, forms, u)
 
     ks = np.asarray(prefix.positive_k)
     kappas = np.asarray(prefix.negative_kappa, dtype=float)
@@ -364,29 +368,26 @@ def _coefficients(t: SpectralTriple) -> np.ndarray:
 
 
 def _forward_consistent(t: SpectralTriple, prefix: SpectrumPrefix, n_check: int = 30) -> bool:
-    """Does the candidate reproduce the data prefix, with nothing extra or missing?"""
+    """Does the candidate reproduce the data prefix, with nothing extra or missing?
+
+    Its lowest ``n_check`` positive levels and its bound states must match
+    the data one to one within 1e-6 / l (engine.slots_hold on the solvers'
+    brackets), and its zero mode must agree at tol 1e-8.
+    """
     geom = prefix.geometry
     n_check = min(n_check, len(prefix.positive_k))
+    delta = 1e-6 / geom.l
     try:
-        pred = positive_levels(t, geom, n_check)
-    except QringError:
-        return False
-    data = np.asarray(prefix.positive_k[:n_check])
-    pred_k = np.array([lv.wavenumber for lv in pred])
-    if np.abs(pred_k - data).max() * geom.l > 1e-6:
-        return False
-    if zero_mode_exists(t, geom, tol=1e-8) != prefix.has_zero_mode:
-        return False
-    try:
-        pred_neg = negative_levels(t, geom)
-    except QringError:
-        return False
-    if len(pred_neg) != len(prefix.negative_kappa):
-        return False
-    for lv, kappa in zip(sorted(pred_neg, key=lambda v: v.wavenumber), sorted(prefix.negative_kappa)):
-        if abs(lv.wavenumber - kappa) * geom.l > 1e-6:
+        g, _, slots = positive_brackets(t, geom, n_check)
+        if not slots_hold(g, slots, prefix.positive_k[:n_check], delta):
             return False
-    return True
+        if zero_mode_exists(t, geom, tol=1e-8) != prefix.has_zero_mode:
+            return False
+        g, _, slots = bound_state_brackets(t, geom)
+    except QringError:
+        return False
+    kappas = sorted(prefix.negative_kappa)
+    return slots[0].size + slots[2].size == len(kappas) and slots_hold(g, slots, kappas, delta)
 
 
 def least_squares(*args, **kwargs):
@@ -422,8 +423,8 @@ def fit_parameters(prefix: SpectrumPrefix, residual_target: float = 1e-8) -> Fit
     (aR, bI) is clamped onto the unit disc.  The four corners, where the
     null space has more than one dimension, are probed outright first.
     A candidate must keep its residual within 1e3 x ``residual_target``
-    and reproduce the data prefix when run forward; otherwise
-    NoConvergence is raised.
+    and match the data prefix level by level (_forward_consistent);
+    otherwise NoConvergence is raised.
     """
     rows = _fit_rows(prefix)
     for t in _CORNERS:

@@ -35,12 +35,13 @@ from .engine import (
     ROOT_XTOL_FACTOR,
     basis_jets,
     boundary_matrix,
-    cell_roots,
+    cell_brackets,
     null_dims,
     null_space,
     refine,
     secular,
-    split_roots,
+    solve_brackets,
+    split_brackets,
     zero_taylor,
 )
 from .errors import InternalInvariant, NotSusyCase, RankMismatch
@@ -244,13 +245,21 @@ class Spectrum:
         return any(lv.sector == "zero" for lv in self.levels)
 
 
-def positive_levels(triple: SpectralTriple, geom: Geometry, count: int) -> list[Level]:
-    """The lowest ``count`` positive levels, each from its own bracket (engine.cell_roots)."""
+def positive_brackets(triple, geom: Geometry, count: int):
+    """(G, null dimensions, slots): engine.cell_brackets on the triple's form,
+    the brackets that positive_levels refines and the fit's check reads."""
     t = _as_triple(triple)
     rep = triple_to_matrix(t)
     dims = lambda ks: null_dims(*regular_matrix(rep, geom, ks))
-    ks, mults = cell_roots(secular_form(t, geom), geom.l, count, dims, _zero_order(t, geom))
-    return [Level("positive", float(k), float(k) ** 2, int(m)) for k, m in zip(ks, mults)]
+    form = secular_form(t, geom)
+    return secular(form, geom.l), dims, cell_brackets(form, geom.l, count, dims, _zero_order(t, geom))
+
+
+def positive_levels(triple: SpectralTriple, geom: Geometry, count: int) -> list[Level]:
+    """The lowest ``count`` positive levels, each from its own bracket (positive_brackets)."""
+    ks, mults = solve_brackets(*positive_brackets(triple, geom, count), geom.l)
+    order = np.argsort(ks)[:count]
+    return [Level("positive", float(k), float(k) ** 2, int(m)) for k, m in zip(ks[order], mults[order])]
 
 
 def negative_search_bound(t: SpectralTriple, geom: Geometry) -> float:
@@ -277,8 +286,9 @@ def negative_search_bound(t: SpectralTriple, geom: Geometry) -> float:
     return 2.0 * (tangent / geom.l0 + 1.0 / geom.l)
 
 
-def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:
-    """All negative-energy levels (at most two), each from its own bracket.
+def bound_state_brackets(triple, geom: Geometry):
+    """(e^{-kappa l} G, null dimensions, slots) of the bound states (at most two),
+    the slots of engine.split_brackets on one cell [0, negative_search_bound].
 
     The eigenvalues of M_E + H increase with kappa and cross zero at most
     once each below negative_search_bound.  Where their sum
@@ -289,11 +299,11 @@ def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:
     zero mode (m = 2) takes both branches.
     """
     t = _as_triple(triple)
-    m = _zero_order(t, geom)
-    if m == 2:
-        return []
     form, l = secular_form(t, geom), geom.l
     g = secular(form, l, True)
+    rep = triple_to_matrix(t)
+    dims = lambda ks: null_dims(*regular_matrix(rep, geom, ks, True))
+    m = _zero_order(t, geom)
     kmax = negative_search_bound(t, geom)
     c_plus = math.cos(t.xi) + t.alpha_r
     c = math.sin(t.xi) / (c_plus * geom.l0) if c_plus else math.inf
@@ -303,10 +313,13 @@ def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:
         with np.errstate(over="ignore"):
             mid = refine(trace, [c - 1.0 / l], [c], [-1.0], ROOT_XTOL_FACTOR / l)[0]
     ends = np.array([(-1) ** m * zero_taylor(form, l, m), float(g(kmax)[0])])
-    rep, s = triple_to_matrix(t), np.sign(ends)
-    dims = lambda ks: null_dims(*regular_matrix(rep, geom, ks, True))
-    scale = np.abs(ends).max(keepdims=True)
-    ks, mults = split_roots(g, l, np.r_[0.0], np.r_[kmax], s[:1], s[1:], np.r_[mid], scale, dims)
+    s, scale = np.sign(ends) * (m < 2), np.abs(ends).max(keepdims=True)  # m = 2: no bracket
+    return g, dims, split_brackets(g, np.zeros(1), np.array([kmax]), s[:1], s[1:], np.array([mid]), scale, dims)
+
+
+def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:
+    """All negative-energy levels (at most two), each from its own bracket (bound_state_brackets)."""
+    ks, mults = solve_brackets(*bound_state_brackets(triple, geom), geom.l)
     return [Level("negative", float(k), -float(k) ** 2, int(n)) for k, n in sorted(zip(ks, mults), reverse=True)]
 
 
@@ -347,8 +360,9 @@ def degeneracy_at(u: CharacteristicMatrix, geom: Geometry, tol: float = LOCUS_TO
 
     which forces (k L0)^2 (cos xi + aR) = cos xi - aR and hence at most one
     k, except at the exchange matrix and its negative where every positive
-    level is a doublet.  E <= 0 degeneracies additionally require
-    xi = arccot(l / 2 L0).
+    level is a doublet.  A bound-state doublet solves the same conditions at
+    k -> -i kappa, which have a solution for every kappa and L0; a zero-mode
+    doublet additionally requires xi = arccot(l / 2 L0).
     """
     a_i, b_r, b_i = u.alpha.imag, u.beta.real, u.beta.imag
     on_locus = abs(a_i) < tol and abs(b_r) < tol and abs(b_i) > tol
@@ -369,32 +383,20 @@ def degeneracy_at(u: CharacteristicMatrix, geom: Geometry, tol: float = LOCUS_TO
     found: list[Level] = []
     if abs(c_plus) > tol:
         ratio = c_minus / c_plus
-        if ratio > tol:
-            k = math.sqrt(ratio) / geom.l0
+        if abs(ratio) > tol:  # a positive (ratio > 0) or a bound-state doublet at k -> -i kappa
+            k, sg = math.sqrt(abs(ratio)) / geom.l0, math.copysign(1.0, ratio)
             kl = k * geom.l
+            cs, sn = (math.cos(kl), math.sin(kl)) if sg > 0 else (math.cosh(kl), math.sinh(kl))
             residuals = (
-                abs(b_i * math.cos(kl) + math.sin(xi)),
-                abs(b_i * k * geom.l0 * math.sin(kl) + c_minus),
-                abs(b_i * math.sin(kl) + c_plus * k * geom.l0),
+                abs(b_i * cs + math.sin(xi)),
+                abs(b_i * k * geom.l0 * sn + sg * c_minus),
+                abs(b_i * sn + c_plus * k * geom.l0),
             )
             if max(residuals) < check_tol:
-                found.append(Level("positive", k, k**2, 2))
-        else:
-            xi_special = math.atan2(2.0 * geom.l0, geom.l)  # arccot(l / 2 L0)
-            if abs(xi - xi_special) < check_tol:
-                if abs(ratio) <= tol:
-                    if abs(b_i + math.sin(xi)) < check_tol and abs(c_minus) < check_tol:
-                        found.append(Level("zero", 0.0, 0.0, 2))
-                else:
-                    kappa = math.sqrt(-ratio) / geom.l0
-                    kl = kappa * geom.l
-                    residuals = (
-                        abs(b_i * math.cosh(kl) + math.sin(xi)),
-                        abs(b_i * kappa * geom.l0 * math.sinh(kl) - c_minus),
-                        abs(b_i * math.sinh(kl) + c_plus * kappa * geom.l0),
-                    )
-                    if max(residuals) < check_tol:
-                        found.append(Level("negative", kappa, -(kappa**2), 2))
+                found.append(Level("positive" if sg > 0 else "negative", k, sg * k**2, 2))
+        elif abs(xi - math.atan2(2.0 * geom.l0, geom.l)) < check_tol:  # xi = arccot(l / 2 L0)
+            if abs(b_i + math.sin(xi)) < check_tol and abs(c_minus) < check_tol:
+                found.append(Level("zero", 0.0, 0.0, 2))
     desc = (
         f"on the degeneracy locus; {len(found)} degenerate level(s) predicted"
         if found

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import qring
 import qring.inverse
-from qring.errors import Ambiguous, DegenerateTail, Inconsistent
+from qring.errors import Ambiguous, DegenerateTail, Inconsistent, QringError
 from qring.inverse import (
     AsymptoticCoeffs,
     SpectrumPrefix,
@@ -23,7 +23,14 @@ from qring.inverse import (
     recover_case_III,
     recover_parameters,
 )
-from qring.spectrum import full_spectrum, secular_negative, secular_positive
+from qring.spectrum import (
+    full_spectrum,
+    negative_levels,
+    positive_levels,
+    secular_negative,
+    secular_positive,
+    zero_mode_exists,
+)
 from qring.u2 import (
     SIGMA1,
     Geometry,
@@ -270,13 +277,69 @@ class TestFitParameters:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "True False"
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_ratio=st.floats(math.log(0.03), math.log(30.0)),
+        family=st.sampled_from(["haar", "exchange+", "exchange-", "corner+", "corner-", "pinned"]),
+        candidate=st.sampled_from(["truth", "noise", "haar"]),
+        j=st.integers(1, 10),
+    )
+    def test_bracket_check_matches_refined_levels(self, seed, log_ratio, family, candidate, j):
+        # the check reads the data against the solvers' brackets; its verdict
+        # is that of matching the refined levels themselves
+        rng = np.random.default_rng(seed)
+        xi = rng.uniform(0.0, math.pi)
+        truth = {
+            "haar": spectral_triple(haar_random(rng)),
+            "exchange+": SpectralTriple(math.pi / 2, 0.0, -1.0),
+            "exchange-": SpectralTriple(math.pi / 2, 0.0, 1.0),
+            "corner+": SpectralTriple(0.0, 1.0, 0.0),
+            "corner-": SpectralTriple(0.0, -1.0, 0.0),
+            "pinned": SpectralTriple(xi, rng.uniform(-1.0, 1.0) * math.cos(xi), -math.sin(xi)),
+        }[family]
+        geom = Geometry(1.0, math.exp(log_ratio))
+        prefix = prefix_from_spectrum(full_spectrum(truth, geom, 60), geom)
+        t = truth
+        if candidate == "haar":
+            t = spectral_triple(haar_random(rng))
+        elif candidate == "noise":
+            e = 10.0**-j * rng.standard_normal(3)
+            a_r, b_i = truth.alpha_r + e[1], truth.beta_i + e[2]
+            r = max(math.hypot(a_r, b_i), 1.0)
+            t = SpectralTriple((truth.xi + e[0]) % math.pi, a_r / r, b_i / r)
+
+        def refined():
+            n = min(30, len(prefix.positive_k))
+            try:
+                ks = [lv.wavenumber for lv in positive_levels(t, geom, n)]
+                kappas = sorted(lv.wavenumber for lv in negative_levels(t, geom))
+            except QringError:
+                return False
+            return bool(
+                np.abs(np.subtract(ks, prefix.positive_k[:n])).max() * geom.l <= 1e-6
+                and zero_mode_exists(t, geom, tol=1e-8) == prefix.has_zero_mode
+                and len(kappas) == len(prefix.negative_kappa)
+                and all(abs(a - b) * geom.l <= 1e-6 for a, b in zip(kappas, sorted(prefix.negative_kappa)))
+            )
+
+        def outcome(verdict):
+            try:
+                return verdict()
+            except ValueError as exc:  # a triple the constructors cannot realize
+                return type(exc)
+
+        assert outcome(lambda: qring.inverse._forward_consistent(t, prefix)) == outcome(refined)
+        if candidate == "truth":
+            assert qring.inverse._forward_consistent(t, prefix)
+
     def test_forward_solver_bug_propagates(self, monkeypatch):
         # only typed solver failures mark a candidate inconsistent; anything
         # else is a bug and must not be hidden as a failed fit
         def broken(*args, **kwargs):
             raise RuntimeError("solver bug")
 
-        monkeypatch.setattr(qring.inverse, "positive_levels", broken)
+        monkeypatch.setattr(qring.inverse, "positive_brackets", broken)
         prefix = prefix_from_spectrum(full_spectrum(from_matrix(SIGMA1), GEOM, 30), GEOM)
         with pytest.raises(RuntimeError, match="solver bug"):
             fit_parameters(prefix)

@@ -366,6 +366,22 @@ class TestDegeneracyAt:
         fs = eigenfunction(u, GEOM, zl)
         assert len(fs) == 2
 
+    @pytest.mark.parametrize("kappa, l0", [(0.8, 1.0), (2.0, 0.3), (0.3, 3.0), (5.0, 0.05)])
+    def test_bound_state_doublet_predicted(self, kappa, l0):
+        # bI cosh kl = -sin xi, bI sinh kl = -(cos xi + aR) kL0 and
+        # bI kL0 sinh kl = cos xi - aR fix a triple on the locus for any kappa, L0
+        geom = Geometry(1.0, l0)
+        ch, sh, q = math.cosh(kappa), math.sinh(kappa), kappa * l0
+        b_i = -1.0 / math.hypot(ch, 0.5 * sh * (q - 1.0 / q))
+        xi = math.atan2(-b_i * ch, 0.5 * b_i * sh * (q - 1.0 / q))
+        t = SpectralTriple(xi, -0.5 * b_i * sh * (q + 1.0 / q), b_i)
+        doublets = [lv for lv in full_spectrum(t, geom, 4) if lv.multiplicity == 2]
+        assert [lv.sector for lv in doublets] == ["negative"]
+        assert doublets[0].wavenumber == pytest.approx(kappa, rel=1e-9)
+        (lv,) = degeneracy_at(triple_to_matrix(t), geom).levels
+        assert (lv.sector, lv.multiplicity) == ("negative", 2)
+        assert lv.wavenumber == pytest.approx(kappa, rel=1e-12)
+
     def test_predicted_degenerate_level_matches_solver(self):
         # scan locus points for one admitting a genuine degenerate positive
         # level, then confirm the boundary matrix has full rank deficiency
