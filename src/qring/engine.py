@@ -15,35 +15,27 @@ A and their boundary matrices, and this module
 * brackets every positive root in the cells between the points k l = n pi
   (cell_brackets), then refines all brackets in one vectorized call
   (solve_brackets) or tests data against them (slots_hold);
-* scans ln kappa on a grid of fixed size (negative_roots), so the cost of
-  the two-point negative sector does not depend on the geometry;
+* brackets roots from a count of them, an index formula, split at
+  geometric means (counted_brackets): the pair's bound states;
 * reads multiplicities off the boundary matrices of many roots at once
   (null_dims).
 
-refine and scan_roots take the secular function as one callable g(x, n)
-returning [f, f', ..., f^(n)] at x (n <= 2), as secular builds it.
+refine takes the secular function as one callable g(x, n) returning
+[f, f', ..., f^(n)] at x (n <= 2), as secular builds it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalInvariant
 
 ROOT_XTOL_FACTOR = 1e-13       # |dk| * l target for refined roots
-ROOT_VALUE_TOL = 1e-10         # |f| below this (times the local magnitude) counts as a touching root
+ROOT_VALUE_TOL = 1e-10         # |f| at a cell's split point below this (times the ends' magnitude) may be a doublet
 END_LEVEL_TOL = 1e-12          # an end value below this times max |A_ij| is a level on the end
 RANK_TOL = 1e-8                # singular-value threshold on the row-equilibrated boundary matrix
-NEGATIVE_GRID_POINTS = 641     # 32 per decade over 20 decades
 SERIES_KH = 0.1                # below this k h the sin(kh)/k jets come from their Taylor series
-
-
-@dataclass(frozen=True)
-class Root:
-    x: float
-    touching: bool  # located as a zero-value extremum rather than a sign change
 
 
 def refine(g, lo, hi, flo, xtol):
@@ -80,64 +72,6 @@ def refine(g, lo, hi, flo, xtol):
         if done.all():
             break
     return x
-
-
-def scan_roots(g, xs, xtol, touch_radius) -> list[Root]:
-    """All roots of a smooth real function between the points of the grid ``xs``.
-
-    Sign changes are refined by refine on (f, f').  Every derivative sign
-    change is refined on (f', f'') to its extremum: one sitting on zero is a
-    touching (even-order) root, and one that dips across zero in a cell
-    without a sign change hides a pair of closely spaced simple roots that
-    the grid could not separate.  All thresholds compare against the
-    neighboring sample magnitudes, so the scan is insensitive to how fast
-    the function's envelope grows along the axis.
-
-    Crossings closer than ``touch_radius`` to a touching root are absorbed
-    into it: within the rounding plateau of a quadratic zero (|f| below the
-    evaluation noise over a sqrt(eps)-wide span) sign changes carry no
-    information, so such satellites are artifacts, not levels.
-    """
-    fv, dv = g(xs, 1)
-    sign = np.sign(fv)
-    exact = fv == 0.0
-    roots = [Root(float(x), touching=False) for x in xs[exact]]
-
-    flips = np.nonzero((sign[:-1] * sign[1:] < 0) & ~exact[:-1] & ~exact[1:])[0]
-    if flips.size:
-        refined = refine(g, xs[flips], xs[flips + 1], fv[flips], xtol)
-        roots.extend(Root(float(x), touching=False) for x in refined)
-
-    # derivative sign changes: candidate touching roots / hidden pairs
-    dflips = np.nonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)[0]
-    if dflips.size:
-        ext = refine(lambda x, n: g(x, n + 1)[1:], xs[dflips], xs[dflips + 1], dv[dflips], xtol)
-        val = g(ext, 0)[0]
-        fa, fb = fv[dflips], fv[dflips + 1]
-        touching = np.abs(val) < ROOT_VALUE_TOL * np.maximum(np.maximum(np.abs(fa), np.abs(fb)), 1e-300)
-        roots.extend(Root(float(x), touching=True) for x in ext[touching])
-        # a dip across zero in a cell whose ends share a sign hides a pair of
-        # simple roots; in a cell with a sign change its one crossing is
-        # already among the refined sign changes
-        pair = ~touching & (sign[dflips] * sign[dflips + 1] > 0) & (np.sign(val) * sign[dflips] < 0)
-        if pair.any():
-            e = ext[pair]
-            sides = refine(g, np.r_[xs[dflips[pair]], e], np.r_[e, xs[dflips[pair] + 1]],
-                           np.r_[fa[pair], val[pair]], xtol)
-            roots.extend(Root(float(x), touching=False) for x in sides)
-
-    roots.sort(key=lambda r: r.x)
-    deduped: list[Root] = []
-    for r in roots:
-        if deduped:
-            last = deduped[-1]
-            radius = touch_radius if (r.touching or last.touching) else 4 * xtol
-            if abs(r.x - last.x) < radius:
-                if r.touching and not last.touching:
-                    deduped[-1] = r
-                continue
-        deduped.append(r)
-    return deduped
 
 
 def zero_taylor(form, l, order):
@@ -275,18 +209,50 @@ def slots_hold(g, slots, data, delta):
     return bool(np.all((f_a * side >= 0) & (f_b * side <= 0)))
 
 
-def negative_roots(g, l, kappa_lo, kappa_max) -> list[Root]:
-    """All roots of the negative-sector secular function on [kappa_lo, kappa_max].
+def counted_brackets(g, count, lo, hi, l, zero_mode):
+    """One slot per root of g on (lo, hi], as cell_brackets' tuple, from a count of them.
 
-    One scan, with the dip test for hidden pairs, on a geometric grid of
-    NEGATIVE_GRID_POINTS points whatever the geometry: at least 32 per
-    decade while kappa_max / kappa_lo stays below 1e20.  ``g`` should
-    evaluate the e^{-kappa l}-scaled secular function, which stays in float range
-    however deep the level.  Below kappa_lo the solver cannot tell a level
-    from the zero mode's rounding noise.
+    ``count(xs)`` gives the number of roots above each x, with multiplicity (an
+    index formula), and must read 0 at ``hi``.  Intervals are split until each
+    holds one root, or two within the floor of _split_counted: an exact doublet.
+    A one-root bracket across which g does not change sign holds a level that g
+    cannot tell from a neighbor: the count narrows it to the floor, where it is
+    exact, or with an adjacent one a doublet that the count's rounding split.
+    With a ``zero_mode``, such a bracket at ``lo`` holds that mode's branch,
+    which rounding leaves at either sign: it is dropped.
     """
-    grid = np.geomspace(kappa_lo, kappa_max, NEGATIVE_GRID_POINTS)
-    return scan_roots(g, grid, ROOT_XTOL_FACTOR / l, 4e-7 / l)
+    n_lo, n_hi = count(np.array([lo, hi]))
+    if n_hi:
+        raise InternalInvariant(f"{n_hi} roots above the search bound {hi}")
+    a, b, na, nb = _split_counted(count, np.array([lo]), np.array([hi]), np.array([n_lo]), np.zeros(1, dtype=int), 1, l)
+    s_a, s_b = np.sign(g(np.r_[a, b], 0)[0]).reshape(2, -1)
+    one, narrow = (na - nb == 1) & (s_a * s_b < 0), na - nb > 1
+    flat = (na - nb == 1) & ~one & ~(zero_mode & (a == lo))
+    fa, fb, fna, fnb = _split_counted(count, a[flat], b[flat], na[flat], nb[flat], 0, l)
+    first, last = fa != np.r_[np.nan, fb[:-1]], fb != np.r_[fa[1:], np.nan]
+    a_x, b_x = np.r_[a[narrow], fa[first]], np.r_[b[narrow], fb[last]]
+    drop = np.r_[(na - nb)[narrow], fna[first] - fnb[last]]
+    if np.any(drop > 2):
+        raise InternalInvariant(f"{drop.max()} roots within {(b_x - a_x).max():.3g} of each other")
+    return 0.5 * (a_x + b_x), drop, a[one], b[one], s_a[one]
+
+
+def _split_counted(count, a, b, na, nb, settle, l):
+    """Intervals (a, b] that hold roots, split at geometric means with one count
+    call per round, until each holds at most ``settle`` roots or is narrower than
+    the floor max(4 ROOT_XTOL_FACTOR / l, 8 ulps): (a, b, na, nb), ascending."""
+    out = []
+    while a.size:
+        held = na > nb
+        done = held & ((na - nb <= settle) | (b - a < np.maximum(4.0 * ROOT_XTOL_FACTOR / l, 8.0 * np.spacing(b))))
+        out.append(np.stack((a, b, na, nb))[:, done])
+        a, b, na, nb = (v[held & ~done] for v in (a, b, na, nb))
+        mid = np.sqrt(a * b)
+        n_mid = np.clip(count(mid), nb, na)  # nonincreasing, through rounding too
+        a, b, na, nb = np.r_[a, mid], np.r_[mid, b], np.r_[na, n_mid], np.r_[n_mid, nb]
+    out = np.concatenate(out, axis=1) if out else np.empty((4, 0))
+    a, b, na, nb = out[:, np.argsort(out[0])]
+    return a, b, na.astype(int), nb.astype(int)
 
 
 def _sinc_jets(sign):

@@ -183,14 +183,16 @@ def spectral_triple(u: CharacteristicMatrix) -> SpectralTriple:
     return SpectralTriple(u.xi, u.alpha.real, u.beta.imag)
 
 
-def triple_to_matrix(t: SpectralTriple, tol: float = 1e-10) -> CharacteristicMatrix:
+def triple_to_matrix(t: SpectralTriple) -> CharacteristicMatrix:
     """A representative boundary matrix realizing a given spectral triple.
 
     On the boundary of the disc the representative is unique (alpha and beta
     are forced real resp. imaginary); inside, the slack is placed in Im alpha.
+    A slack below NORM_TOL, which CharacteristicMatrix accepts, counts as the
+    boundary.
     """
     slack = 1.0 - t.alpha_r**2 - t.beta_i**2
-    alpha_i = 0.0 if slack < tol else math.sqrt(slack)
+    alpha_i = 0.0 if slack < NORM_TOL else math.sqrt(slack)
     return CharacteristicMatrix(t.xi, complex(t.alpha_r, alpha_i), complex(0.0, t.beta_i))
 
 

@@ -11,16 +11,18 @@ midpoints between the reported energies and below the lowest one.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qring.spectrum import full_spectrum
 from qring.twopoint import TwoPointSystem, spectrum2
-from qring.u2 import Geometry, haar_random, to_matrix
+from qring.u2 import SIGMA1, Geometry, SpectralTriple, from_matrix, haar_random, to_matrix, triple_to_matrix
 
 COUNTS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 seeds = st.integers(0, 2**32 - 1)
 log_ratios = st.floats(math.log(1e-3), math.log(1e3))
+near_pi = st.integers(0, 7)  # j >= 1: U1 with the eigenphase pi - 10^-j, 0: Haar
 
 
 def robin(u, l0):
@@ -76,6 +78,35 @@ def probes(spec):
     return [(lowest, 0)] + [(0.5 * (a + b), int(n)) for a, b, n in zip(energies, energies[1:], below)]
 
 
+def bound_state_probes(spec):
+    """(E, bound states below E with multiplicity) below the lowest, between them, and
+    halfway from the shallowest to E = 0."""
+    bound = [lv for lv in spec if lv.sector == "negative"]
+    energies = [lv.energy for lv in bound]
+    below = np.cumsum([lv.multiplicity for lv in bound])
+    ends = [(2.0 * energies[0], 0), (0.5 * energies[-1], int(below[-1]))] if bound else []
+    return ends + [(0.5 * (a + b), int(n)) for a, b, n in zip(energies, energies[1:], below)]
+
+
+def close_bound_states():
+    """(U1, U2, L0/l) with l = 1 and bound states closer than the secular function
+    resolves; U2 None stands for the exchange, which makes the pair the one-point circle.
+
+    (U, U^dagger): the joint at l/2 binds like U, so the wells at the two
+    joints mirror each other and their deep levels pair up.  (U, exchange):
+    the bound-state doublets of test_spectrum.
+    """
+    rng = np.random.default_rng(15)
+    wells = [from_matrix(np.diag([np.exp(1.3j), np.exp(0.7j)])), haar_random(rng), haar_random(rng)]
+    out = [(u, from_matrix(to_matrix(u).conj().T), l0) for u in wells for l0 in (1e-3, 1e-2, 0.1)]
+    for kappa, l0 in [(0.8, 1.0), (2.0, 0.3), (0.3, 3.0), (5.0, 0.05)]:
+        q, ch, sh = kappa * l0, math.cosh(kappa), math.sinh(kappa)
+        b_i = -1.0 / math.hypot(ch, sh * (q - 1 / q) / 2)
+        truth = SpectralTriple(math.atan2(-b_i * ch, b_i * sh * (q - 1 / q) / 2), -b_i * sh * (q + 1 / q) / 2, b_i)
+        out.append((triple_to_matrix(truth), None, l0))
+    return out
+
+
 @COUNTS
 @given(seeds, log_ratios)
 def test_one_point_counts_match_the_index_formula(seed, log_ratio):
@@ -85,11 +116,25 @@ def test_one_point_counts_match_the_index_formula(seed, log_ratio):
         assert one_point_count(u, geom, energy) == count, energy
 
 
-@COUNTS
-@given(seeds, log_ratios)
-def test_pair_counts_match_the_index_formula(seed, log_ratio):
+@settings(COUNTS, max_examples=80)
+@given(seeds, log_ratios, near_pi)
+def test_pair_counts_match_the_index_formula(seed, log_ratio, offset):
     rng = np.random.default_rng(seed)
     u1, u2 = haar_random(rng), haar_random(rng)
+    if offset:
+        # an eigenphase pi - 10^-offset at the first joint binds a state at kappa L0 ~ 2 10^offset
+        v = to_matrix(haar_random(rng))
+        phases = np.exp(1j * np.array([math.pi - 10.0**-offset, rng.uniform(-math.pi, math.pi)]))
+        u1 = from_matrix(v @ np.diag(phases) @ v.conj().T)
     geom = Geometry(1.0, math.exp(log_ratio))
     for energy, count in probes(spectrum2(TwoPointSystem(u1, u2, geom), 12)):
         assert pair_count(u1, u2, geom, energy) == count, energy
+
+
+@pytest.mark.parametrize("u1, u2, l0", close_bound_states())
+def test_close_bound_states_counted(u1, u2, l0):
+    geom = Geometry(1.0, l0)
+    spec = spectrum2(TwoPointSystem(u1, u2 or from_matrix(SIGMA1), geom), 1)
+    for energy, count in bound_state_probes(spec):
+        reference = one_point_count(u1, geom, energy) if u2 is None else pair_count(u1, u2, geom, energy)
+        assert reference == count, energy

@@ -26,7 +26,7 @@ class TestNegativeScanBounded:
         # the largest array handed to the negative-sector secular function of
         # either solver does not grow with L0/l, and every call stays fast:
         # the one-point solver evaluates at most two brackets at a time, the
-        # pair scans a grid of fixed size
+        # pair the two ends of each of its at most four brackets
         largest: dict[str, int] = {}
         solver = ["one"]
         basis_jets = engine.basis_jets
@@ -37,7 +37,6 @@ class TestNegativeScanBounded:
             return basis_jets(k, h, hyperbolic, *order)
 
         monkeypatch.setattr(engine, "basis_jets", jets)
-        sizes = set()
         for l0 in 10.0 ** np.arange(-6, 7):
             geom = Geometry(1.0, float(l0))
             largest.clear()
@@ -53,8 +52,7 @@ class TestNegativeScanBounded:
                 ks = sorted(lv.wavenumber for lv in neg)
                 assert sorted(pair.negative_wavenumbers()) == pytest.approx(ks, rel=1e-10)
             assert largest.get("one", 0) <= 2
-            sizes.add(largest["two"])
-        assert sizes == {engine.NEGATIVE_GRID_POINTS}
+            assert largest.get("two", 0) <= 8
 
     @pytest.mark.parametrize("l0", [1e-3, 1e-4])
     def test_separated_level_deep_at_the_far_side_is_simple(self, l0):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qring.errors import NonUnitary, NotUnitary
+from qring.spectrum import full_spectrum
 from qring.u2 import (
     SIGMA1,
     SIGMA3,
@@ -263,3 +264,11 @@ def test_triple_representative_round_trips():
         assert abs(tr.xi - t.xi) < 1e-14
         assert abs(tr.alpha_r - t.alpha_r) < 1e-14
         assert abs(tr.beta_i - t.beta_i) < 1e-14
+
+
+def test_triple_just_inside_the_disc_has_a_representative():
+    # slack 5e-11: above the norm tolerance of CharacteristicMatrix, so it goes to Im alpha
+    t = SpectralTriple(0.5, 0.6, math.sqrt(1.0 - 0.36 - 5e-11))
+    rep = triple_to_matrix(t)
+    assert rep.alpha.imag == pytest.approx(math.sqrt(5e-11), rel=1e-4)
+    assert len(full_spectrum(t, GEOM, 5).positive_wavenumbers()) == 5
