@@ -15,8 +15,8 @@ A and their boundary matrices, and this module
 * brackets every positive root in the cells between the points k l = n pi
   (cell_brackets), then refines all brackets in one vectorized call
   (solve_brackets) or tests data against them (slots_hold);
-* brackets roots from a count of them, an index formula, split at
-  geometric means (counted_brackets): the pair's bound states;
+* decides the levels at E <= 0 from the ordered eigenvalues of one matrix
+  Q(kappa) on the boundary values (index_form, bound_states);
 * reads multiplicities off the boundary matrices of many roots at once
   (null_dims).
 
@@ -36,6 +36,8 @@ ROOT_VALUE_TOL = 1e-10         # |f| at a cell's split point below this (times t
 END_LEVEL_TOL = 1e-12          # an end value below this times max |A_ij| is a level on the end
 RANK_TOL = 1e-8                # singular-value threshold on the row-equilibrated boundary matrix
 SERIES_KH = 0.1                # below this k h the sin(kh)/k jets come from their Taylor series
+EIGENPHASE_PI_TOL = 1e-14      # 2 |cos(theta/2)| at or below this: an eigenphase of pi, a Dirichlet direction
+ZERO_MODE_TOL = 1e-14          # |mu_j(0)| at or below this, times the form's band max(1, L/L0): a zero mode
 
 
 def refine(g, lo, hi, flo, xtol):
@@ -209,50 +211,164 @@ def slots_hold(g, slots, data, delta):
     return bool(np.all((f_a * side >= 0) & (f_b * side <= 0)))
 
 
-def counted_brackets(g, count, lo, hi, l, zero_mode):
-    """One slot per root of g on (lo, hi], as cell_brackets' tuple, from a count of them.
+def eigenphases(u) -> tuple[np.ndarray, np.ndarray]:
+    """U's eigenphases xi -+ phi, cos phi = aR, and its eigenvectors as columns:
+    those of W = (e^{-i xi} U - aR) / i for -+ sin phi."""
+    w = np.array([[u.alpha.imag, -1j * u.beta], [1j * u.beta.conjugate(), -u.alpha.imag]])
+    phi = math.atan2(math.hypot(u.alpha.imag, abs(u.beta)), u.alpha.real)
+    return u.xi + np.array([-phi, phi]), np.linalg.eigh(w)[1]
 
-    ``count(xs)`` gives the number of roots above each x, with multiplicity (an
-    index formula), and must read 0 at ``hi``.  Intervals are split until each
-    holds one root, or two within the floor of _split_counted: an exact doublet.
-    A one-root bracket across which g does not change sign holds a level that g
-    cannot tell from a neighbor: the count narrows it to the floor, where it is
-    exact, or with an adjacent one a doublet that the count's rounding split.
-    With a ``zero_mode``, such a bracket at ``lo`` holds that mode's branch,
-    which rounding leaves at either sign: it is dropped.
+
+def index_form(vertices, l0, length, ends):
+    """Q(kappa) = H + K(kappa) on the boundary values, as (h, X, length, band).
+
+    Each vertex condition U acts on two consecutive boundary values.  H is its
+    Robin part, -tan(theta/2)/L0 on U's eigenvectors over its eigenphases
+    theta; an eigenphase of pi (2 |cos(theta/2)| <= EIGENPHASE_PI_TOL) is a
+    Dirichlet direction and is left out, so Q acts on the columns of the
+    block-diagonal B of the other eigenvectors.  K is the edges'
+    Dirichlet-to-Neumann matrix: boundary value i is joined to ``ends[i]`` by
+    an edge of ``length``, and on the ends (a, b) of one edge
+    K = t I + o (a - b)(a - b)^T, t = kappa tanh(kappa L/2), o = kappa / sinh(kappa L).
+    So Q = diag(h) + t I + 2 o X X^dagger, X = B^dagger E, E holding one
+    column (e_a - e_b)/sqrt 2 per edge.  Q increases with kappa, and by
+    Friedlander's index formula the number of its negative eigenvalues is
+    the number of bound states deeper than -kappa^2.  A zero mode's mu_j(0)
+    lies within ``band`` times ZERO_MODE_TOL of zero: a few ulps on an
+    eigenphase move h = -tan(theta/2)/L0 by about eps/L0, so mu by eps L/L0.
     """
-    n_lo, n_hi = count(np.array([lo, hi]))
-    if n_hi:
-        raise InternalInvariant(f"{n_hi} roots above the search bound {hi}")
-    a, b, na, nb = _split_counted(count, np.array([lo]), np.array([hi]), np.array([n_lo]), np.zeros(1, dtype=int), 1, l)
-    s_a, s_b = np.sign(g(np.r_[a, b], 0)[0]).reshape(2, -1)
-    one, narrow = (na - nb == 1) & (s_a * s_b < 0), na - nb > 1
-    flat = (na - nb == 1) & ~one & ~(zero_mode & (a == lo))
-    fa, fb, fna, fnb = _split_counted(count, a[flat], b[flat], na[flat], nb[flat], 0, l)
-    first, last = fa != np.r_[np.nan, fb[:-1]], fb != np.r_[fa[1:], np.nan]
-    a_x, b_x = np.r_[a[narrow], fa[first]], np.r_[b[narrow], fb[last]]
-    drop = np.r_[(na - nb)[narrow], fna[first] - fnb[last]]
-    if np.any(drop > 2):
-        raise InternalInvariant(f"{drop.max()} roots within {(b_x - a_x).max():.3g} of each other")
-    return 0.5 * (a_x + b_x), drop, a[one], b[one], s_a[one]
+    e = np.array([[(i == a) - (i == z) for a, z in enumerate(ends) if a < z] for i in range(len(ends))]) * math.sqrt(0.5)
+    h, x = [], []
+    for i, u in enumerate(vertices):  # B is block-diagonal: X is U's free eigenvectors against E's rows
+        theta, v = eigenphases(u)
+        free = 2.0 * np.abs(np.cos(0.5 * theta)) > EIGENPHASE_PI_TOL
+        h.append(-np.tan(0.5 * theta[free]) / l0)
+        x.append(v[:, free].conj().T @ e[2 * i : 2 * i + 2])
+    return np.concatenate(h), np.vstack(x), length, max(1.0, length / l0)
 
 
-def _split_counted(count, a, b, na, nb, settle, l):
-    """Intervals (a, b] that hold roots, split at geometric means with one count
-    call per round, until each holds at most ``settle`` roots or is narrower than
-    the floor max(4 ROOT_XTOL_FACTOR / l, 8 ulps): (a, b, na, nb), ascending."""
-    out = []
-    while a.size:
-        held = na > nb
-        done = held & ((na - nb <= settle) | (b - a < np.maximum(4.0 * ROOT_XTOL_FACTOR / l, 8.0 * np.spacing(b))))
-        out.append(np.stack((a, b, na, nb))[:, done])
-        a, b, na, nb = (v[held & ~done] for v in (a, b, na, nb))
-        mid = np.sqrt(a * b)
-        n_mid = np.clip(count(mid), nb, na)  # nonincreasing, through rounding too
-        a, b, na, nb = np.r_[a, mid], np.r_[mid, b], np.r_[na, n_mid], np.r_[n_mid, nb]
-    out = np.concatenate(out, axis=1) if out else np.empty((4, 0))
-    a, b, na, nb = out[:, np.argsort(out[0])]
-    return a, b, na.astype(int), nb.astype(int)
+def _edge(kappa, length):
+    """t = kappa tanh(kappa L/2), o = kappa / sinh(kappa L) and their kappa-derivatives
+    at one kappa >= 0, from e^{-kappa L}: nothing overflows however deep."""
+    x = kappa * length
+    if x == 0.0:
+        return 0.0, 1.0 / length, 0.0, 0.0
+    e, em = math.exp(-x), -math.expm1(-x)
+    th, csch = em / (1.0 + e), 2.0 * e / (em * (1.0 + e))  # tanh(x/2), 1/sinh x
+    do = -x / 3.0 if x < 1e-3 else (1.0 - x * (1.0 + e * e) / (em * (1.0 + e))) * csch  # (x / sinh x)'
+    return kappa * th, kappa * csch, th + 0.5 * x * (1.0 - th * th), do
+
+
+def _two_branches(h1, h2, g11, g22, g12, det_g, length, kappa):
+    """(mu_1, mu_2, mu_1', mu_2') of a two-dimensional Q at one kappa, in closed form (branches)."""
+    t, o, dt, do = _edge(kappa, length)
+    dd = dt + do
+    s1, s2 = 1.0 / (abs(h1) + t + o), 1.0 / (abs(h2) + t + o)
+    w = 2.0 * g12 * math.sqrt(s1 * s2)
+    a, b, c = s1 * (h1 + t + 2.0 * o * g11), s2 * (h2 + t + 2.0 * o * g22), w * o
+    da, db = s1 * (dt + 2.0 * do * g11 - dd * a), s2 * (dt + 2.0 * do * g22 - dd * b)
+    dc = w * (do - 0.5 * o * dd * (s1 + s2))
+    mean, half = 0.5 * (a + b), 0.5 * (a - b)
+    rad = math.hypot(half, c)
+    big = mean + math.copysign(rad, mean)
+    det = s1 * s2 * ((h1 + t) * (h2 + t) + 2.0 * o * ((h1 + t) * g22 + (h2 + t) * g11) + 4.0 * o * o * det_g)
+    small = det / big if big else 0.0
+    drad = (0.5 * half * (da - db) + c * dc) / rad if rad else 0.0
+    lo, hi = (small, big) if mean >= 0.0 else (big, small)
+    return lo, hi, 0.5 * (da + db) - drad, 0.5 * (da + db) + drad
+
+
+def branches(form, kappa, n=0):
+    """The ordered eigenvalues mu_j(kappa) of S Q(kappa) S, and their derivatives.
+
+    S = diag(|h| + d)^-1/2, d = t + o = kappa coth(kappa L), is Q's Jacobi
+    scaling: it keeps Q's inertia, so mu_j changes sign where the j-th
+    eigenvalue of Q does, and brings the entries to order one however large
+    |h|.  Each mu_j has at most one root.
+
+    Two branches come in closed form: mean +- rad for the larger in
+    magnitude, det / that for the other, with
+    det Q = (h1 + t)(h2 + t) + 2 o ((h1 + t) G22 + (h2 + t) G11) + 4 o^2 det G,
+    G = X X^dagger, whose det is exact (0 for one edge).  More branches come
+    from eigh, each value recomputed as the Rayleigh quotient
+    sum_i h_i |u_i|^2 + t |u|^2 + 2 o |X^dagger u|^2, u = S v.  Either way the
+    terms that cancel near E = 0, where K(0) is singular, are kept apart, so
+    a state there is found to the rounding of h.  Derivatives: Hellmann-Feynman,
+    u^dagger Q' u - d' mu |u|^2.  Shape (n + 1, len(kappa), r), n <= 1.
+    """
+    h, x, length, _ = form
+    kappa = np.asarray(kappa, dtype=float).reshape(-1).tolist()
+    if h.size == 2:
+        gram = x @ x.conj().T
+        det_g = abs(np.linalg.det(x)) ** 2 if x.shape[1] == 2 else 0.0
+        consts = (*h.tolist(), gram[0, 0].real, gram[1, 1].real, abs(gram[0, 1]), det_g, length)
+        return np.array([_two_branches(*consts, k) for k in kappa]).reshape(-1, 2, 2).transpose(1, 0, 2)[: n + 1]
+    if not h.size:
+        return np.zeros((n + 1, len(kappa), 0))
+    t, o, dt, do = np.array([_edge(k, length) for k in kappa]).T
+    sig = 1.0 / np.sqrt(np.abs(h) + (t + o)[:, None])
+    q = (2.0 * o)[:, None, None] * (x @ x.conj().T)
+    q[:, np.arange(h.size), np.arange(h.size)] += h + t[:, None]
+    u = sig[:, :, None] * np.linalg.eigh(sig[:, :, None] * q * sig[:, None, :])[1]
+    xu = x.conj().T @ u
+    u2, xu2 = u.real**2 + u.imag**2, np.sum(xu.real**2 + xu.imag**2, axis=1)
+    norm = u2.sum(1)
+    mu = h @ u2 + t[:, None] * norm + 2.0 * o[:, None] * xu2
+    dmu = (dt[:, None] - (dt + do)[:, None] * mu) * norm + 2.0 * do[:, None] * xu2
+    return np.stack((mu, dmu))[: n + 1]
+
+
+def zero_modes(form, tol: float = ZERO_MODE_TOL) -> int:
+    """The multiplicity of E = 0: the number of |mu_j(0)| within ``tol`` times the form's band of zero."""
+    return int(np.sum(np.abs(branches(form, [0.0])[0, 0]) <= tol * form[3]))
+
+
+def bound_states(form):
+    """The bound states of Q, deepest first, as (wavenumbers, multiplicities).
+
+    There are as many as mu_j(0) below the zero modes' band, and the j-th
+    deepest is the one root of mu_j.  By Weyl's inequalities the j-th
+    eigenvalue of Q lies between h_(j) + t and h_(j) + t + 2 o, h_(j) the
+    j-th smallest h, and kappa - 1/L < t <= t + 2 o = kappa coth(kappa L/2)
+    < kappa + 2/L, so mu_j < 0 at kappa = -h_(j) - 3/L and > 0 at
+    -h_(j) + 2/L: a bracket of width 5/L per root, all refined in one call.
+    Roots of mu_j and mu_j+1 that agree to the refiner's tolerance (each
+    within it of its own root) are one doublet.
+    """
+    h, _, length, band = form
+    mu0 = branches(form, [0.0])[0, 0]
+    js = np.nonzero(mu0 < -ZERO_MODE_TOL * band)[0]
+    if not js.size:
+        return np.empty(0), np.empty(0, dtype=int)
+    depth, xtol = -np.sort(h)[js], ROOT_XTOL_FACTOR / length
+    hi = np.maximum(depth, 0.0) + 2.0 / length  # descending, as the roots are
+    g = lambda x, n: branches(form, x, n)[:, np.arange(js.size), js]
+    ks = np.sort(refine(g, np.maximum(depth - 3.0 / length, 0.0), hi, -np.ones(js.size), xtol))[::-1]
+    # each root is within refine's tolerance of its own: two within twice that are one doublet
+    double = ks[:-1] - ks[1:] <= 2.0 * np.maximum(xtol, 4.0 * np.spacing(hi[:-1]))
+    if np.any(double[1:] & double[:-1]):
+        raise InternalInvariant(f"three bound states within the refiner's tolerance of {ks[0]}")
+    keep = ~np.r_[False, double]
+    return ks[keep], 1 + np.r_[double, False][keep]
+
+
+def bound_states_hold(form, data, delta) -> bool:
+    """Whether the bound states of Q lie one to one within ``delta`` of the data, without refining a root.
+
+    Window i runs from datum i - delta to datum i + delta, cut at the
+    midpoints between neighbouring data.  A branch has its root in a window
+    exactly when it changes sign across it, so each window must hold one root
+    (a doublet two) and the windows all of bound_states': the signs of every
+    branch at the window ends, one evaluation for all data.
+    """
+    data = np.sort(np.asarray(data, dtype=float))
+    mids = 0.5 * (data[1:] + data[:-1])
+    points = np.r_[0.0, np.maximum(data - delta, np.r_[0.0, mids]), np.minimum(data + delta, np.r_[mids, data[-1:] + delta])]
+    # at kappa = 0 a branch in the zero modes' band is no bound state
+    floor = np.where(points == 0.0, -ZERO_MODE_TOL * form[3], 0.0)
+    below = np.sum(branches(form, points)[0] < floor[:, None], axis=-1)
+    held = below[1 : data.size + 1] - below[data.size + 1 :]
+    return bool(np.all(held >= 1) and held.sum() == below[0])
 
 
 def _sinc_jets(sign):

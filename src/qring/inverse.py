@@ -26,7 +26,8 @@ rule: flipping the sign of c is the seam (xi, aR, bI) -> (xi + pi, -aR, -bI),
 so the sign is chosen with xi in [0, pi), and within 1e-12 of pi or of 0
 the xi = 0 chart is taken.  A candidate is accepted when datum i lies in
 the i-th slot of its levels, read off the bracket stage the forward solvers
-share (positive_brackets, bound_state_brackets) without refining a root.
+share (positive_brackets), and its bound states agree with the signs of the
+branches of Q (engine.bound_states_hold), without refining a root.
 """
 from __future__ import annotations
 
@@ -44,8 +45,8 @@ from .errors import (
     NoisyTail,
     QringError,
 )
-from .engine import basis_jets, slots_hold
-from .spectrum import bound_state_brackets, positive_brackets, secular_forms, zero_mode_exists
+from .engine import basis_jets, bound_states_hold, slots_hold, zero_modes
+from .spectrum import bound_form, positive_brackets, secular_forms
 from .spectrum import negative_levels, positive_levels  # noqa: F401  (the benchmark's trace of invert wraps them)
 from .u2 import Geometry, SpectralTriple
 
@@ -370,9 +371,10 @@ def _coefficients(t: SpectralTriple) -> np.ndarray:
 def _forward_consistent(t: SpectralTriple, prefix: SpectrumPrefix, n_check: int = 30) -> bool:
     """Does the candidate reproduce the data prefix, with nothing extra or missing?
 
-    Its lowest ``n_check`` positive levels and its bound states must match
-    the data one to one within 1e-6 / l (engine.slots_hold on the solvers'
-    brackets), and its zero mode must agree at tol 1e-8.
+    Its lowest ``n_check`` positive levels must match the data one to one
+    within 1e-6 / l (engine.slots_hold on the solvers' brackets), its bound
+    states too (engine.bound_states_hold on the signs of Q's branches), and
+    its zero mode must agree at tol 1e-8.
     """
     geom = prefix.geometry
     n_check = min(n_check, len(prefix.positive_k))
@@ -381,13 +383,12 @@ def _forward_consistent(t: SpectralTriple, prefix: SpectrumPrefix, n_check: int 
         g, _, slots = positive_brackets(t, geom, n_check)
         if not slots_hold(g, slots, prefix.positive_k[:n_check], delta):
             return False
-        if zero_mode_exists(t, geom, tol=1e-8) != prefix.has_zero_mode:
+        q = bound_form(t, geom)
+        if (zero_modes(q, 1e-8) > 0) != prefix.has_zero_mode:  # zero_mode_exists(t, geom, tol=1e-8), on q
             return False
-        g, _, slots = bound_state_brackets(t, geom)
+        return bound_states_hold(q, prefix.negative_kappa, delta)
     except QringError:
         return False
-    kappas = sorted(prefix.negative_kappa)
-    return slots[0].size + slots[2].size == len(kappas) and slots_hold(g, slots, kappas, delta)
 
 
 def least_squares(*args, **kwargs):

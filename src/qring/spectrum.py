@@ -14,9 +14,9 @@ u = (cos kh, sin(kh)/k, k sin kh), h = l/2, it is the fixed quadratic form
 u^T A u with A = sum_i c_i A_i, c = (bI, sin xi, cos xi, aR)
 (secular_forms, secular_form), in all three sectors.  The shared engine
 (qring.engine) evaluates it with its derivatives and brackets every
-positive root in the cells between the points k l = n pi; the zero of the
-trace of M_E + H, the edge's Dirichlet-to-Neumann matrix plus the vertex's
-Robin part, splits the bound states.  Multiplicities are read off the 2x2
+positive root in the cells between the points k l = n pi.  The levels at
+E <= 0 are the engine's: the ordered eigenvalues of Q(kappa) on
+(psi(0), psi(l)) (bound_form).  Positive multiplicities are read off the 2x2
 boundary matrix (U - I) V + i L0 (U + I) D on the regularized basis
 (cos kx, sin(kx)/k), one form for all three sectors (regular_matrix): a
 doubly degenerate level requires all four entries to vanish, which happens
@@ -32,17 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    ROOT_XTOL_FACTOR,
+    ZERO_MODE_TOL,
     basis_jets,
+    bound_states,
     boundary_matrix,
     cell_brackets,
+    index_form,
     null_dims,
     null_space,
-    refine,
     secular,
     solve_brackets,
-    split_brackets,
-    zero_taylor,
+    zero_modes,
 )
 from .errors import InternalInvariant, NotSusyCase, RankMismatch
 from .u2 import (
@@ -56,8 +56,6 @@ from .u2 import (
 )
 
 LOCUS_TOL = 1e-10
-ZERO_MODE_TOL = 1e-10  # |G(0)| below this is a zero mode
-EIGENPHASE_PI_TOL = 1e-14  # |cos xi + aR| below this is an eigenphase of pi
 
 
 def _as_triple(u) -> SpectralTriple:
@@ -147,16 +145,14 @@ def secular_negative_deriv(triple: SpectralTriple, geom: Geometry, kappa):
         return _scalar(np.exp(kappa * geom.l) * (dq + geom.l * q))
 
 
+def bound_form(triple, geom: Geometry):
+    """engine.index_form of the circle: one loop edge of length l on (psi(0), psi(l))."""
+    return index_form([triple_to_matrix(_as_triple(triple))], geom.l0, geom.l, [1, 0])
+
+
 def zero_mode_exists(triple: SpectralTriple, geom: Geometry, tol: float = ZERO_MODE_TOL) -> bool:
-    """Whether an E = 0 eigenstate exists (the k -> 0 limit of the secular condition)."""
-    return abs(float(_secular(triple, geom)(0.0)[0])) < tol
-
-
-def _zero_order(t: SpectralTriple, geom: Geometry) -> int:
-    """The zero mode's multiplicity, 0 without one: one decision for all three sectors."""
-    if not zero_mode_exists(t, geom):
-        return 0
-    return max(int(null_dims(*regular_matrix(triple_to_matrix(t), geom, 0.0))), 1)
+    """Whether an E = 0 eigenstate exists: a branch of Q(0) within ``tol`` of zero (engine.zero_modes)."""
+    return zero_modes(bound_form(triple, geom), tol) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +248,7 @@ def positive_brackets(triple, geom: Geometry, count: int):
     rep = triple_to_matrix(t)
     dims = lambda ks: null_dims(*regular_matrix(rep, geom, ks))
     form = secular_form(t, geom)
-    return secular(form, geom.l), dims, cell_brackets(form, geom.l, count, dims, _zero_order(t, geom))
+    return secular(form, geom.l), dims, cell_brackets(form, geom.l, count, dims, zero_modes(bound_form(t, geom)))
 
 
 def positive_levels(triple: SpectralTriple, geom: Geometry, count: int) -> list[Level]:
@@ -262,72 +258,17 @@ def positive_levels(triple: SpectralTriple, geom: Geometry, count: int) -> list[
     return [Level("positive", float(k), float(k) ** 2, int(m)) for k, m in zip(ks[order], mults[order])]
 
 
-def negative_search_bound(t: SpectralTriple, geom: Geometry) -> float:
-    """Twice the largest kappa any bound state can have, in closed form.
-
-    The Robin part H = (i/L0)(U + I)^-1 (U - I) of the vertex condition has
-    eigenvalues -tan(theta/2)/L0 over U's eigenphases theta, and every bound
-    state has kappa <= max(0, max tan(theta/2))/L0 + 1/l.  With
-    c+- = cos xi +- aR, the two tangents are (sin xi + sin phi)/c+ and
-    -c-/(sin xi + sin phi), cos phi = aR: the first is the large-kappa root
-    of the secular form itself, from the same c+.  It diverges as an
-    eigenphase reaches pi (c+ -> 0); an eigenphase of pi contributes
-    nothing, and c+ within EIGENPHASE_PI_TOL of zero, the rounding of a
-    triple on that locus, counts as pi.  The factor two keeps the deepest
-    root inside its bracket.
-    """
-    c_plus, c_minus = math.cos(t.xi) + t.alpha_r, math.cos(t.xi) - t.alpha_r
-    spread = math.sin(t.xi) + math.sqrt(max(1.0 - t.alpha_r**2, 0.0))
-    tangent = 0.0
-    if c_plus > EIGENPHASE_PI_TOL:
-        tangent = spread / c_plus
-    if spread > 0.0:
-        tangent = max(tangent, -c_minus / spread)
-    return 2.0 * (tangent / geom.l0 + 1.0 / geom.l)
-
-
-def bound_state_brackets(triple, geom: Geometry):
-    """(e^{-kappa l} G, null dimensions, slots) of the bound states (at most two),
-    the slots of engine.split_brackets on one cell [0, negative_search_bound].
-
-    The eigenvalues of M_E + H increase with kappa and cross zero at most
-    once each below negative_search_bound.  Where their sum
-    2 kappa coth(kappa l) - 2 c vanishes, c = sin xi / ((cos xi + aR) L0), in
-    [c - 1/l, c], one is <= 0 <= the other: that zero splits the bound
-    states.  At kappa = 0 the scaled G has the sign of (-1)^m times its
-    order-m coefficient in k^2, m the zero mode's multiplicity; a degenerate
-    zero mode (m = 2) takes both branches.
-    """
-    t = _as_triple(triple)
-    form, l = secular_form(t, geom), geom.l
-    g = secular(form, l, True)
-    rep = triple_to_matrix(t)
-    dims = lambda ks: null_dims(*regular_matrix(rep, geom, ks, True))
-    m = _zero_order(t, geom)
-    kmax = negative_search_bound(t, geom)
-    c_plus = math.cos(t.xi) + t.alpha_r
-    c = math.sin(t.xi) / (c_plus * geom.l0) if c_plus else math.inf
-    mid = math.nan
-    if 1.0 / l < c < kmax:
-        trace = lambda x, n: np.array([x / np.tanh(x * l) - c, 1.0 / np.tanh(x * l) - x * l / np.sinh(x * l) ** 2])
-        with np.errstate(over="ignore"):
-            mid = refine(trace, [c - 1.0 / l], [c], [-1.0], ROOT_XTOL_FACTOR / l)[0]
-    ends = np.array([(-1) ** m * zero_taylor(form, l, m), float(g(kmax)[0])])
-    s, scale = np.sign(ends) * (m < 2), np.abs(ends).max(keepdims=True)  # m = 2: no bracket
-    return g, dims, split_brackets(g, np.zeros(1), np.array([kmax]), s[:1], s[1:], np.array([mid]), scale, dims)
-
-
 def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:
-    """All negative-energy levels (at most two), each from its own bracket (bound_state_brackets)."""
-    ks, mults = solve_brackets(*bound_state_brackets(triple, geom), geom.l)
-    return [Level("negative", float(k), -float(k) ** 2, int(n)) for k, n in sorted(zip(ks, mults), reverse=True)]
+    """All negative-energy levels (at most two), deepest first (engine.bound_states)."""
+    ks, mults = bound_states(bound_form(triple, geom))
+    return [Level("negative", float(k), -float(k) ** 2, int(m)) for k, m in zip(ks, mults)]
 
 
 def full_spectrum(u, geom: Geometry, count: int = 20) -> Spectrum:
     """Negative, zero, and the lowest ``count`` positive levels of u's spectral triple, ascending."""
     t = _as_triple(u)
     levels = negative_levels(t, geom)
-    m = _zero_order(t, geom)
+    m = zero_modes(bound_form(t, geom))
     if m:
         levels.append(Level("zero", 0.0, 0.0, m))
     levels.extend(positive_levels(t, geom, count))

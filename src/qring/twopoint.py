@@ -11,21 +11,17 @@ both characteristic matrices by one special unitary V preserves the
 spectrum; freezing the second singularity at the exchange matrix
 reproduces the single-singularity circle.
 
-Levels come from the regularized boundary matrix (U - I) V + i L0 (U + I) D
-on the coefficient basis (cos kx, sin(kx)/k) of each component, the form
-the one-point solver uses.  It stays nondegenerate through k = 0, where it
-is exactly the linear-ansatz zero-mode condition, and the continuation
-k -> -i kappa covers the negative sector, with the rows of the joint at
-l/2 scaled by e^{-kappa l/2} (U is block-diagonal, so the rank is kept).
-On that basis the determinant is a fixed real quadratic form (up to one
-constant phase) in (cos kh, sin(kh)/k, k sin kh), h = l/2, the same jets
-on which the one-point function is a form; the shared engine
-(qring.engine) evaluates it with its derivatives, brackets every positive
-root in the cells between the points k l = n pi and every bound state by
-counting (Friedlander's index formula on the four boundary values), and
-reads the positive levels' multiplicities off the matrix.  The textbook
-plane-wave matrix is exposed as BlockSecular for inspection; both share
-their zeros at k > 0.
+Positive levels come from the regularized boundary matrix
+(U - I) V + i L0 (U + I) D on the coefficient basis (cos kx, sin(kx)/k) of
+each component, the form the one-point solver uses.  Its determinant is a
+fixed real quadratic form (up to one constant phase) in
+(cos kh, sin(kh)/k, k sin kh), h = l/2, the same jets on which the
+one-point function is a form; the shared engine (qring.engine) evaluates
+it, brackets every positive root in the cells between the points
+k l = n pi and reads the multiplicities off the matrix.  The levels at
+E <= 0 are the engine's: the ordered eigenvalues of Q(kappa) on the four
+boundary values.  The textbook plane-wave matrix is exposed as
+BlockSecular for inspection; both share their zeros at k > 0.
 """
 from __future__ import annotations
 
@@ -35,15 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import basis_jets, boundary_matrix, cell_roots, counted_brackets, null_dims, secular, solve_brackets
+from .engine import basis_jets, boundary_matrix, bound_states, cell_roots, eigenphases, index_form, null_dims, zero_modes
 from .errors import NotSpecialUnitary
-from .spectrum import EIGENPHASE_PI_TOL, Level, Spectrum, negative_search_bound
+from .spectrum import Level, Spectrum
 from .u2 import (
     SIGMA3,
     CharacteristicMatrix,
     Geometry,
     from_matrix,
-    spectral_triple,
     to_matrix,
     unitarity_defect,
 )
@@ -174,83 +169,26 @@ def _secular_form(sys: TwoPointSystem) -> tuple[complex, np.ndarray]:
     return complex(rotation), (coef / rotation).real
 
 
-def _eigenphases(u: CharacteristicMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """U's eigenphases xi -+ phi, cos phi = aR, and its eigenvectors as columns:
-    those of W = (e^{-i xi} U - aR) / i for -+ sin phi."""
-    w = np.array([[u.alpha.imag, -1j * u.beta], [1j * u.beta.conjugate(), -u.alpha.imag]])
-    phi = math.atan2(math.hypot(u.alpha.imag, abs(u.beta)), u.alpha.real)
-    return u.xi + np.array([-phi, phi]), np.linalg.eigh(w)[1]
-
-
-def _robin(u: CharacteristicMatrix, l0: float) -> tuple[np.ndarray, np.ndarray]:
-    """(B, h): U's eigenvectors B (2 x r) off its Dirichlet directions, and the
-    eigenvalues h = -tan(theta / 2) / L0 there of H = (i/L0)(U + I)^-1 (U - I).
-
-    An eigenphase with 2 |cos(theta / 2)| <= EIGENPHASE_PI_TOL is pi: the rule
-    c+ = cos xi + aR = 2 cos(theta+ / 2) cos(theta- / 2) <= EIGENPHASE_PI_TOL
-    of negative_search_bound, per eigenphase, so a scalar U next to -I binds twice.
-    """
-    theta, vecs = _eigenphases(u)
-    free = 2.0 * np.abs(np.cos(0.5 * theta)) > EIGENPHASE_PI_TOL
-    return vecs[:, free], -np.tan(0.5 * theta[free]) / l0
-
-
-def _bound_state_count(sys: TwoPointSystem, u2_dagger: CharacteristicMatrix):
-    """count(kappas): the number of bound states with a wavenumber above each kappa.
-
-    Friedlander's index formula on the boundary values (Phi1(0), Phi2(0), Phi1(h),
-    Phi2(h)), h = l/2: the negative eigenvalues of Q = H(U1) + H(U2^dagger) + K,
-    K = [[kappa coth kappa h, -kappa / sinh kappa h], [-kappa / sinh kappa h, kappa
-    coth kappa h]] on each edge, off the Dirichlet directions, in H's eigenbasis
-    (_robin).  Q increases with kappa.  eigvalsh takes S Q S, which has Q's
-    inertia and entries of order one: S = diag(|h| + kappa coth kappa h)^-1/2.
-    """
-    (b1, h1), (b2, h2) = _robin(sys.u1, sys.geometry.l0), _robin(u2_dagger, sys.geometry.l0)
-    b = np.zeros((4, h1.size + h2.size), dtype=complex)
-    b[:2, : h1.size], b[2:, h1.size :] = b1, b2
-    h, hop = np.r_[h1, h2], -b.conj().T @ np.roll(b, 2, axis=0)  # the edges join row i to row i + 2
-    half = 0.5 * sys.geometry.l
-
-    def count(kappa):
-        e, den = np.exp(-kappa * half), -np.expm1(-2.0 * kappa * half)
-        d, o = kappa * (1.0 + e * e) / den, 2.0 * kappa * e / den
-        s = 1.0 / np.sqrt(np.abs(h) + d[:, None])
-        q = (np.diag(h) + d[:, None, None] * np.eye(h.size) + o[:, None, None] * hop) * s[:, :, None] * s[:, None, :]
-        return np.sum(np.linalg.eigvalsh(q) < 0.0, axis=-1)
-
-    return count
-
-
 def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     """Negative, zero, and the lowest ``count`` positive levels of the pair.
 
-    Roots of the closed-form real secular function (_secular_form), refined in
-    brackets of one level each: the engine's cells for the positive levels, the
-    index formula for the bound states (_bound_state_count), which also gives
-    their multiplicities; the others are null dimensions of the boundary matrix.
+    The levels at E <= 0 come from the engine's Q(kappa) on the boundary
+    values (Phi1(0), Phi2(0), Phi1(h), Phi2(h)), h = l/2: two edges of length
+    h, U1 at x = 0 and U2^dagger at l/2, where the doubled state takes
+    outward derivatives, so the second singularity binds like U2^dagger.  The
+    positive levels are roots of the closed-form real secular function
+    (_secular_form), one per bracket of the engine's cells, with the null
+    dimensions of the boundary matrix as multiplicities.
     """
     geom = sys.geometry
-    _, form = _secular_form(sys)
-    dims = lambda k: null_dims(*regular_matrix(sys, k))
-
-    levels: list[Level] = []
-    zero_dim = int(dims(0.0))
-    if zero_dim:
-        levels.append(Level("zero", 0.0, 0.0, zero_dim))
-
-    # deep levels localize at one singularity, so the one-singularity search
-    # bound of either applies.  The doubled state takes outward derivatives
-    # at l/2, where the second singularity therefore binds like U2^dagger.
-    u2_dagger = from_matrix(to_matrix(sys.u2).conj().T)
-    kmax = max(negative_search_bound(spectral_triple(u), geom) for u in (sys.u1, u2_dagger))
-    # the form's coefficients carry rounding errors that move a zero mode's
-    # double root at kappa = 0 out to about 1e-8 / sqrt(l L0): the search starts above
-    kappa_lo = 1e-6 / math.sqrt(geom.l * geom.l0)
-    g = secular(form, geom.l, True)
-    slots = counted_brackets(g, _bound_state_count(sys, u2_dagger), kappa_lo, kmax, geom.l, zero_dim > 0)
-    ks, mults = solve_brackets(g, lambda ks: np.ones(ks.shape, dtype=int), slots, geom.l)
+    q = index_form([sys.u1, from_matrix(to_matrix(sys.u2).conj().T)], geom.l0, 0.5 * geom.l, [2, 3, 0, 1])
+    zero_dim = zero_modes(q)
+    levels = [Level("zero", 0.0, 0.0, zero_dim)] if zero_dim else []
+    ks, mults = bound_states(q)
     levels.extend(Level("negative", float(k), -float(k) ** 2, int(m)) for k, m in zip(ks, mults))
 
+    _, form = _secular_form(sys)
+    dims = lambda k: null_dims(*regular_matrix(sys, k))
     ks, mults = cell_roots(form, geom.l, count, dims, zero_dim)
     levels.extend(Level("positive", float(k), float(k) ** 2, int(m)) for k, m in zip(ks, mults))
     levels.sort(key=lambda lv: lv.energy)
@@ -280,7 +218,7 @@ def diagonalize_u(u: CharacteristicMatrix) -> tuple[np.ndarray, tuple[float, flo
 
     Phases are principal values ordered theta+ >= theta-.
     """
-    theta, q = _eigenphases(u)
+    theta, q = eigenphases(u)
     phases = np.angle(np.exp(1j * theta))
     order = np.argsort(-phases, kind="stable")
     q = q[:, order]

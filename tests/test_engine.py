@@ -7,7 +7,7 @@ import pytest
 from qring import engine
 from qring.spectrum import negative_levels, positive_levels, regular_matrix
 from qring.twopoint import TwoPointSystem, spectrum2
-from qring.u2 import SIGMA1, Geometry, SpectralTriple, from_matrix, haar_random, spectral_triple, triple_to_matrix
+from qring.u2 import SIGMA1, Geometry, SpectralTriple, from_matrix, haar_random, spectral_triple, to_matrix, triple_to_matrix
 
 EXCHANGE = from_matrix(SIGMA1)
 GEOM = Geometry(1.0, 1.0)
@@ -117,3 +117,36 @@ class TestBasisJets:
             for n in range(2):
                 central = STENCIL @ jets[n] / step
                 assert abs(central - (jets[n + 1, 3] - w * jets[n, 3])) <= 1e-12 * h ** (n + 2)
+
+
+class TestIndexForm:
+    """engine.branches against Q(kappa) = H + K(kappa) built from its definition."""
+
+    @staticmethod
+    def direct_q(us, l0, length, ends, kappa):
+        # H = (i/L0)(U + I)^-1 (U - I) per vertex (a Haar U has no eigenvalue -1), K per edge
+        n = len(ends)
+        q = np.zeros((n, n), dtype=complex)
+        for i, u in enumerate(us):
+            mat = to_matrix(u)
+            q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 1j / l0 * np.linalg.solve(mat + np.eye(2), mat - np.eye(2))
+        for a, b in enumerate(ends):
+            q[a, a] += kappa / math.tanh(kappa * length)
+            q[a, b] -= kappa / math.sinh(kappa * length)
+        return q
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_branches_keep_the_inertia_of_q(self, seed):
+        rng = np.random.default_rng(seed)
+        for us, length, ends in (([haar_random(rng)], 1.0, [1, 0]), ([haar_random(rng), haar_random(rng)], 0.5, [2, 3, 0, 1])):
+            l0 = math.exp(rng.uniform(-2.0, 2.0))
+            form = engine.index_form(us, l0, length, ends)
+            kappas = np.geomspace(1e-2, 60.0, 40) / min(l0, length)
+            mu, dmu = engine.branches(form, kappas, 1)
+            for kappa, row in zip(kappas, mu):
+                assert np.all(np.diff(row) >= -1e-15)  # ordered, up to the rounding of the recomputed values
+                assert np.sum(row < 0.0) == np.sum(np.linalg.eigvalsh(self.direct_q(us, l0, length, ends, kappa)) < 0.0)
+            # Hellmann-Feynman derivative against central differences
+            step = 1e-6 * kappas
+            central = (engine.branches(form, kappas + step)[0] - engine.branches(form, kappas - step)[0]) / (2.0 * step[:, None])
+            assert np.abs(central - dmu).max() <= 1e-6 * (1.0 + np.abs(dmu).max())

@@ -24,6 +24,7 @@ from qring.spectrum import (
     verify_susy_pairing,
     zero_mode_exists,
 )
+from qring.twopoint import TwoPointSystem, spectrum2
 from qring.u2 import (
     SIGMA1,
     SIGMA3,
@@ -260,6 +261,22 @@ class TestNegativeAndZero:
         levels = negative_levels(SpectralTriple(math.pi / 2, math.sin(1e-6), 0.3), GEOM)
         assert len(levels) == 1
         assert levels[0].wavenumber == pytest.approx(2.0e6 / GEOM.l0, rel=1e-6)
+
+    @pytest.mark.parametrize("delta, kappa", [(1e-2, 199.99833333), (1e-3, 1999.99983333), (1e-4, 19999.9999833), (1e-6, 1999999.99948)])
+    def test_scalar_u_next_to_minus_identity_binds_one_doublet(self, delta, kappa):
+        # U = e^{i(pi - delta)} I: both eigenvectors bind at kappa coth(kappa l/2) and
+        # kappa tanh(kappa l/2) = cot(delta/2)/L0, which e^{-kappa l} cannot tell apart
+        spec = full_spectrum(from_matrix(np.exp(1j * (math.pi - delta)) * np.eye(2)), GEOM, 4)
+        (level,) = [lv for lv in spec if lv.sector == "negative"]
+        assert level.multiplicity == 2 and level.wavenumber == pytest.approx(kappa, rel=1e-10)
+
+    def test_scalar_u_doublet_is_the_pairs(self):
+        u = from_matrix(np.exp(3.1j) * np.eye(2))
+        (one,) = [lv for lv in full_spectrum(u, GEOM, 4) if lv.sector == "negative"]
+        (two,) = [lv for lv in spectrum2(TwoPointSystem(u, EXCHANGE, GEOM), 4) if lv.sector == "negative"]
+        assert one.multiplicity == two.multiplicity == 2
+        assert one.wavenumber == pytest.approx(48.07848248, rel=1e-9)
+        assert two.wavenumber == pytest.approx(one.wavenumber, rel=1e-13)
 
     def test_zero_mode_examples(self):
         assert zero_mode_exists(SpectralTriple(math.pi / 2, 0.0, -1.0), GEOM)

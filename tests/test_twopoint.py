@@ -23,11 +23,14 @@ from qring.twopoint import (
 from qring.u2 import (
     SIGMA1,
     SIGMA3,
+    CharacteristicMatrix,
     Geometry,
+    SpectralTriple,
     from_matrix,
     haar_random,
     su2_random,
     to_matrix,
+    triple_to_matrix,
 )
 
 GEOM = Geometry(1.0, 1.0)
@@ -147,6 +150,60 @@ class TestSpectrum2:
             other = spectrum2(rotated, 8)
             for a, b in zip(base, other):
                 assert abs(a.energy - b.energy) < 1e-8 * max(1.0, abs(a.energy))
+
+
+class TestBoundStates:
+    """Bound states and zero modes from the ordered eigenvalues of Q(kappa)."""
+
+    @pytest.mark.parametrize("l0", [1e4, 1e5, 1e6])
+    def test_state_next_to_zero_listed_once(self, l0):
+        # (0, 0.5, 0) binds at kappa L0 = 1/sqrt(3), E = -1/(3 L0^2): a bound state, not a zero mode
+        geom = Geometry(1.0, l0)
+        u = triple_to_matrix(SpectralTriple(0.0, 0.5, 0.0))
+        pair = spectrum2(TwoPointSystem(u, FREE, geom), 3)
+        assert not pair.has_zero_mode() and not full_spectrum(u, geom, 3).has_zero_mode()
+        assert pair.negative_wavenumbers() == pytest.approx([math.sqrt(1.0 / 3.0) / l0], rel=1e-8)
+
+    @pytest.mark.parametrize("l0", [1e-6, 1e6])
+    def test_neumann_pair_has_no_shallow_bound_state(self, l0):
+        spec = spectrum2(TwoPointSystem(from_matrix(np.eye(2)), FREE, Geometry(1.0, l0)), 3)
+        assert spec.levels[0].sector == "zero" and spec.negative_wavenumbers().size == 0
+
+    @pytest.mark.parametrize("kappa", [3e-4, 5e-4])
+    def test_shallow_bound_state_is_no_zero_mode(self, kappa):
+        # bI puts a bound state at kappa l << 1e-6 / sqrt(l L0) = 1e-3, L0 = 1e-6; a few
+        # ulps on an eigenphase move a state that close to E = 0 by about
+        # eps l / (L0 (kappa l)^2), 1e-3 relative here
+        l0, xi = 1e-6, 2.5
+        a_r = math.cos(xi) + 0.6 * l0
+        g = (math.cos(xi) - a_r) - (math.cos(xi) + a_r) * (kappa * l0) ** 2
+        t = SpectralTriple(xi, a_r, -math.sin(xi) * math.cosh(kappa) - g * math.sinh(kappa) / (2.0 * kappa * l0))
+        geom = Geometry(1.0, l0)
+        pair = spectrum2(TwoPointSystem(triple_to_matrix(t), FREE, geom), 3)
+        assert not pair.has_zero_mode()
+        assert pair.negative_wavenumbers() == pytest.approx([kappa], rel=1e-3)
+        assert pair.negative_wavenumbers() == pytest.approx(full_spectrum(t, geom, 3).negative_wavenumbers(), rel=1e-8)
+
+    def test_close_bound_states_keep_their_digits(self):
+        # a mirror well (U, U^dagger) whose two bound states lie 2e-7 apart (relative);
+        # the reference is a 40-digit index count from the same float U
+        u = CharacteristicMatrix(
+            2.4210027561521974, -0.6920677176606816 + 0.3742122575893035j, -0.6172551312219393 - 0.0018877028468994768j
+        )
+        sys = TwoPointSystem(u, from_matrix(to_matrix(u).conj().T), Geometry(1.0, 0.001276764075735027))
+        ks = sorted(spectrum2(sys, 1).negative_wavenumbers())
+        assert ks == pytest.approx([33.643461911213246, 33.643468569692633], rel=1e-13)
+
+    @pytest.mark.parametrize("delta, kappa", [(1e-3, 6666.666111111102), (1e-5, 666666.666661111), (1e-7, 66666666.66666662)])
+    def test_bound_state_next_to_eigenphase_pi(self, delta, kappa):
+        # U1 = V diag(e^{i(pi - delta)}, e^{-2i}) V^dagger with the exchange at L0 = 0.3.  kappa is a
+        # 40-digit root of Q from the exact eigen-data; the float U1 carries an
+        # eigenphase error of a few ulps, which moves kappa by about 1e-16/delta
+        a, b = 1.2, -0.5
+        v = np.array([[math.cos(a), -np.exp(1j * b) * math.sin(a)], [np.exp(-1j * b) * math.sin(a), math.cos(a)]])
+        u1 = from_matrix(v @ np.diag(np.exp(1j * np.array([math.pi - delta, -2.0]))) @ v.conj().T)
+        (level,) = [lv for lv in spectrum2(TwoPointSystem(u1, FREE, Geometry(1.0, 0.3)), 1) if lv.sector == "negative"]
+        assert abs(level.wavenumber - kappa) <= 20.0 * 1e-16 / delta * kappa
 
 
 class TestSecularForm:
