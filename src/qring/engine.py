@@ -17,8 +17,8 @@ A and their boundary matrices, and this module
   (solve_brackets) or tests data against them (slots_hold);
 * decides the levels at E <= 0 from the ordered eigenvalues of one matrix
   Q(kappa) on the boundary values (index_form, bound_states);
-* reads multiplicities off the boundary matrices of many roots at once
-  (null_dims).
+* reads the multiplicity of an exact positive root off its boundary matrix
+  (null_dims); a bracketed root is simple.
 
 refine takes the secular function as one callable g(x, n) returning
 [f, f', ..., f^(n)] at x (n <= 2), as secular builds it.
@@ -84,19 +84,11 @@ def zero_taylor(form, l, order):
     return float(sum(rows[i] @ form @ rows[order - i] for i in range(order + 1)))
 
 
-def cell_roots(form, l, count, dims, zero_order):
-    """The lowest ``count`` roots k > 0 of G = u^T A u, as (wavenumbers, multiplicities):
-    cell_brackets, refined in one call (solve_brackets)."""
-    ks, mults = solve_brackets(secular(form, l), dims, cell_brackets(form, l, count, dims, zero_order), l)
-    order = np.argsort(ks)[:count]
-    return ks[order], mults[order]
-
-
 def cell_brackets(form, l, count, dims, zero_order):
     """One slot per root k > 0 of G = u^T A u, for at least the lowest ``count``,
     as (exact, exact multiplicities, lo, hi, side): the roots known exactly,
-    and brackets [lo, hi] that hold one root each, with G of sign ``side``
-    just above lo.
+    and brackets [lo, hi] that hold one simple root each, with G of sign
+    ``side`` just above lo.
 
     With T = tan(kl/2), G = cos^2(kl/2) (A00 + 2 (A01/k + A02 k) T + a(k) T^2),
     a(k) = A11/k^2 + 2 A12 + A22 k^2: the ends of cell n, k l in
@@ -109,8 +101,10 @@ def cell_brackets(form, l, count, dims, zero_order):
     is a root; its cell holds at most one more, and the sign next to it is
     that of the derivative of G whose order is its multiplicity.  Cell 0 starts
     from the coefficient of G in k^2 of order ``zero_order``, the zero mode's
-    multiplicity.  ``dims(ks)`` gives the boundary matrices' null dimensions.
-    Doublets (on the ends at +-exchange) can need 2 count + 2 cells.
+    multiplicity.  ``dims(ks)`` gives the boundary matrices' null dimensions,
+    read only at exact roots: a bracket, across which G changes sign in a
+    cell of at most two roots, holds one simple root.  Doublets (on the ends
+    at +-exchange) can need 2 count + 2 cells.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -165,7 +159,7 @@ def _cells(form, l, cells, dims, zero_order):
 def split_brackets(g, lo, hi, s_lo, s_hi, mid, scale, dims):
     """The slots of cells (lo, hi) that hold at most two roots of g, as cell_brackets' tuple.
 
-    Ends of opposite sign (``s_lo``, ``s_hi``: just inside) bracket one root.
+    Ends of opposite sign (``s_lo``, ``s_hi``: just inside) bracket one simple root.
     Ends of one sign hold two if g changes sign at the split point ``mid``
     (nan: none), a doublet there if |g(mid)| < ROOT_VALUE_TOL ``scale`` with
     a two-dimensional null space (``dims``), or none.
@@ -182,13 +176,14 @@ def split_brackets(g, lo, hi, s_lo, s_hi, mid, scale, dims):
     return mid[doublet], np.full(doublet.sum(), 2), lo, hi, side
 
 
-def solve_brackets(g, dims, slots, l):
-    """The roots of g in the slots of cell_brackets or split_brackets, as (positions,
-    multiplicities): every bracket refined in one call, each refined root of
-    multiplicity max(1, dims)."""
+def solve_brackets(g, slots, l, count):
+    """The lowest ``count`` roots of g in the slots of cell_brackets, ascending, as
+    (positions, multiplicities): every bracket refined in one call.  Exact roots
+    keep the multiplicities of their slots; a bracket holds one simple root."""
     exact, exact_mults, lo, hi, side = slots
-    roots = refine(g, lo, hi, side, ROOT_XTOL_FACTOR / l)
-    return np.concatenate((exact, roots)), np.concatenate((exact_mults, _multiplicities(dims, roots))).astype(int)
+    ks = np.concatenate((exact, refine(g, lo, hi, side, ROOT_XTOL_FACTOR / l)))
+    order = np.argsort(ks)[:count]
+    return ks[order], np.concatenate((exact_mults, np.ones(lo.size, dtype=int)))[order]
 
 
 def slots_hold(g, slots, data, delta):

@@ -380,7 +380,7 @@ def _forward_consistent(t: SpectralTriple, prefix: SpectrumPrefix, n_check: int 
     n_check = min(n_check, len(prefix.positive_k))
     delta = 1e-6 / geom.l
     try:
-        g, _, slots = positive_brackets(t, geom, n_check)
+        g, slots = positive_brackets(t, geom, n_check)
         if not slots_hold(g, slots, prefix.positive_k[:n_check], delta):
             return False
         q = bound_form(t, geom)

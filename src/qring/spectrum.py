@@ -16,11 +16,12 @@ u^T A u with A = sum_i c_i A_i, c = (bI, sin xi, cos xi, aR)
 (qring.engine) evaluates it with its derivatives and brackets every
 positive root in the cells between the points k l = n pi.  The levels at
 E <= 0 are the engine's: the ordered eigenvalues of Q(kappa) on
-(psi(0), psi(l)) (bound_form).  Positive multiplicities are read off the 2x2
-boundary matrix (U - I) V + i L0 (U + I) D on the regularized basis
-(cos kx, sin(kx)/k), one form for all three sectors (regular_matrix): a
-doubly degenerate level requires all four entries to vanish, which happens
-only for Im alpha = Re beta = 0, Im beta != 0.
+(psi(0), psi(l)) (bound_form).  A positive level found in a bracket is
+simple; one known exactly, on a cell end or at a split point, takes the null
+dimension of the 2x2 boundary matrix (U - I) V + i L0 (U + I) D on the
+regularized basis (cos kx, sin(kx)/k), one form for all three sectors
+(regular_matrix).  A doubly degenerate level requires all four entries to
+vanish, which happens only for Im alpha = Re beta = 0, Im beta != 0.
 
 Units: hbar^2/2m = 1, so energies are k^2 (or -kappa^2) with k in 1/length.
 """
@@ -242,20 +243,19 @@ class Spectrum:
 
 
 def positive_brackets(triple, geom: Geometry, count: int):
-    """(G, null dimensions, slots): engine.cell_brackets on the triple's form,
-    the brackets that positive_levels refines and the fit's check reads."""
+    """(G, slots): engine.cell_brackets on the triple's form, the brackets
+    that positive_levels refines and the fit's check reads."""
     t = _as_triple(triple)
     rep = triple_to_matrix(t)
     dims = lambda ks: null_dims(*regular_matrix(rep, geom, ks))
     form = secular_form(t, geom)
-    return secular(form, geom.l), dims, cell_brackets(form, geom.l, count, dims, zero_modes(bound_form(t, geom)))
+    return secular(form, geom.l), cell_brackets(form, geom.l, count, dims, zero_modes(bound_form(t, geom)))
 
 
 def positive_levels(triple: SpectralTriple, geom: Geometry, count: int) -> list[Level]:
-    """The lowest ``count`` positive levels, each from its own bracket (positive_brackets)."""
-    ks, mults = solve_brackets(*positive_brackets(triple, geom, count), geom.l)
-    order = np.argsort(ks)[:count]
-    return [Level("positive", float(k), float(k) ** 2, int(m)) for k, m in zip(ks[order], mults[order])]
+    """The lowest ``count`` positive levels, each from its own slot (positive_brackets)."""
+    ks, mults = solve_brackets(*positive_brackets(triple, geom, count), geom.l, count)
+    return [Level("positive", float(k), float(k) ** 2, int(m)) for k, m in zip(ks, mults)]
 
 
 def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:

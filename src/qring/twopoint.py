@@ -17,10 +17,11 @@ each component, the form the one-point solver uses.  Its determinant is a
 fixed real quadratic form (up to one constant phase) in
 (cos kh, sin(kh)/k, k sin kh), h = l/2, the same jets on which the
 one-point function is a form; the shared engine (qring.engine) evaluates
-it, brackets every positive root in the cells between the points
-k l = n pi and reads the multiplicities off the matrix.  The levels at
-E <= 0 are the engine's: the ordered eigenvalues of Q(kappa) on the four
-boundary values.  The textbook plane-wave matrix is exposed as
+it and brackets every positive root in the cells between the points
+k l = n pi.  A bracketed root is simple; only a root known exactly, on a
+cell end or at a split point, reads its multiplicity off the matrix.  The
+levels at E <= 0 are the engine's: the ordered eigenvalues of Q(kappa) on
+the four boundary values.  The textbook plane-wave matrix is exposed as
 BlockSecular for inspection; both share their zeros at k > 0.
 """
 from __future__ import annotations
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import basis_jets, boundary_matrix, bound_states, cell_roots, eigenphases, index_form, null_dims, zero_modes
+from .engine import basis_jets, boundary_matrix, bound_states, cell_brackets, eigenphases, index_form, null_dims
+from .engine import secular, solve_brackets, zero_modes
 from .errors import NotSpecialUnitary
 from .spectrum import Level, Spectrum
 from .u2 import (
@@ -177,8 +179,9 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     h, U1 at x = 0 and U2^dagger at l/2, where the doubled state takes
     outward derivatives, so the second singularity binds like U2^dagger.  The
     positive levels are roots of the closed-form real secular function
-    (_secular_form), one per bracket of the engine's cells, with the null
-    dimensions of the boundary matrix as multiplicities.
+    (_secular_form), one per slot of the engine's cells: a bracketed root is
+    simple, and a root known exactly takes the null dimension of the
+    boundary matrix.
     """
     geom = sys.geometry
     q = index_form([sys.u1, from_matrix(to_matrix(sys.u2).conj().T)], geom.l0, 0.5 * geom.l, [2, 3, 0, 1])
@@ -189,7 +192,7 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
 
     _, form = _secular_form(sys)
     dims = lambda k: null_dims(*regular_matrix(sys, k))
-    ks, mults = cell_roots(form, geom.l, count, dims, zero_dim)
+    ks, mults = solve_brackets(secular(form, geom.l), cell_brackets(form, geom.l, count, dims, zero_dim), geom.l, count)
     levels.extend(Level("positive", float(k), float(k) ** 2, int(m)) for k, m in zip(ks, mults))
     levels.sort(key=lambda lv: lv.energy)
     return Spectrum(tuple(levels), provenance=None, max_negative=4)

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qring.spectrum import full_spectrum
+from qring.spectrum import degeneracy_at, full_spectrum
 from qring.twopoint import TwoPointSystem, spectrum2
-from qring.u2 import SIGMA1, Geometry, SpectralTriple, from_matrix, haar_random, to_matrix, triple_to_matrix
+from qring.u2 import SIGMA1, CharacteristicMatrix, Geometry, SpectralTriple, from_matrix, haar_random, to_matrix, triple_to_matrix
 
 COUNTS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -138,3 +138,24 @@ def test_close_bound_states_counted(u1, u2, l0):
     for energy, count in bound_state_probes(spec):
         reference = one_point_count(u1, geom, energy) if u2 is None else pair_count(u1, u2, geom, energy)
         assert reference == count, energy
+
+
+# U within 1e-7 of -exchange and of +exchange: off the degeneracy locus, so every
+# level is simple, but the boundary matrix at each level is within about 1e-7 of
+# zero, and a rank rule at 1e-8 counts some of them double
+NEAR_EXCHANGE = [
+    (CharacteristicMatrix(1.5707963657062292, -6.794898503286148e-08 - 9.692018452073147e-08j,
+                          -5.341979445275122e-08 + 0.9999999999999917j), 0.0135642163607437),
+    (CharacteristicMatrix(1.5707963209976596, -1.83364887508845e-08 + 2.379789554308927e-09j,
+                          1.5630037861484077e-08 - 0.9999999999999996j), 0.03418892164310919),
+]
+
+
+@pytest.mark.parametrize("u, l0", NEAR_EXCHANGE, ids=["minus", "plus"])
+def test_near_exchange_levels_are_simple(u, l0):
+    geom = Geometry(1.0, l0)
+    spec = full_spectrum(u, geom, 20)
+    assert not degeneracy_at(u, geom).locus
+    assert set(spec.multiplicities()) == {1}
+    for energy, count in probes(spec):
+        assert one_point_count(u, geom, energy) == count, energy
