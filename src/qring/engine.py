@@ -13,8 +13,9 @@ A and their boundary matrices, and this module
 * evaluates the form and its first two k-derivatives from one jets call
   (secular), e^{-kappa l}-scaled in the negative sector;
 * brackets every positive root in the cells between the points k l = n pi
-  (cell_brackets), then refines all brackets in one vectorized call
-  (solve_brackets) or tests data against them (slots_hold);
+  (cell_brackets), then refines all brackets in one vectorized call, each
+  from the root of its cell's quadratic in tan(kl/2) (cell_starts,
+  solve_brackets), or tests data against them (slots_hold);
 * decides the levels at E <= 0 from the ordered eigenvalues of one matrix
   Q(kappa) on the boundary values (index_form, bound_states);
 * reads the multiplicity of an exact positive root off its boundary matrix
@@ -40,21 +41,23 @@ EIGENPHASE_PI_TOL = 1e-14      # 2 |cos(theta/2)| at or below this: an eigenphas
 ZERO_MODE_TOL = 1e-14          # |mu_j(0)| at or below this, times the form's band max(1, L/L0): a zero mode
 
 
-def refine(g, lo, hi, flo, xtol):
+def refine(g, lo, hi, flo, x, xtol):
     """Bracket-safeguarded Newton (rtsafe), vectorized over brackets.
 
     Each [lo[i], hi[i]] must hold a sign change of f, with flo = f(lo), and
-    g(x, 1) returns (f, f') at x in one call.  A Newton step is taken when
-    it lands inside the current bracket and at most halves the previous
-    step, otherwise the bracket is bisected.  A
-    root is done once its Newton step falls below xtol (or a few ulps), or
-    its bracket closes; a last step that only rounding noise pushed outside
-    the bracket is dropped rather than replaced by a bisection.
+    g(x, 1) returns (f, f') at x in one call.  The iteration starts at the
+    caller's x[i] in [lo[i], hi[i]]: cell_starts for the positive cells,
+    the Robin depth for the bound states.  A Newton step is taken when it
+    lands inside the current bracket and at most halves the previous step,
+    otherwise the bracket is bisected.  A root is done once its Newton step
+    falls below xtol (or a few ulps), or its bracket closes; a last step
+    that only rounding noise pushed outside the bracket is dropped rather
+    than replaced by a bisection.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     side = np.sign(flo)
-    x = 0.5 * (lo + hi)
+    x = np.array(x, dtype=float)
     tol = np.maximum(xtol, 4.0 * np.spacing(np.abs(hi)))
     last = hi - lo
     done = np.zeros(x.shape, dtype=bool)
@@ -82,6 +85,32 @@ def zero_taylor(form, l, order):
     h = 0.5 * l
     rows = np.array([[1.0, h, 0.0], [-h**2 / 2, -h**3 / 6, h], [h**4 / 24, h**5 / 120, -h**3 / 6]])
     return float(sum(rows[i] @ form @ rows[order - i] for i in range(order + 1)))
+
+
+def cell_starts(form, l, lo, hi):
+    """Starts for refine in brackets [lo, hi] that each lie in one cell of G = u^T A u.
+
+    In cell n, k l in (n pi, (n + 1) pi), G = cos^2(kl/2) (A00 + 2 b T + a T^2)
+    with T = tan(kl/2), b(k) = A01/k + A02 k and a(k) = A11/k^2 + 2 A12 + A22 k^2,
+    whose coefficients change slowly with k.  Frozen at the start, the
+    quadratic's root T whose kl/2 = atan T + ceil(n/2) pi lies in the
+    bracket is the next start; two such passes from the midpoint place most
+    starts within a few digits of their roots.  A bracket where no root of
+    the frozen quadratic lies keeps its start, the midpoint at first.
+    """
+    x = 0.5 * (lo + hi)
+    turn = np.ceil(0.5 * np.floor(x * (l / math.pi))) * math.pi
+    c = form[0, 0]
+    for _ in range(2):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = form[0, 1] / x + form[0, 2] * x
+            a = form[1, 1] / x**2 + 2.0 * form[1, 2] + form[2, 2] * x**2
+            q = -(b + np.copysign(np.sqrt(b * b - a * c), b))  # nan without a real root
+            t = np.stack((q / a, c / q))
+        k = (2.0 / l) * (np.arctan(t) + turn)
+        inside = (k > lo) & (k < hi)
+        x = np.where(inside[0], k[0], np.where(inside[1], k[1], x))
+    return x
 
 
 def cell_brackets(form, l, count, dims, zero_order):
@@ -150,7 +179,9 @@ def _cells(form, l, cells, dims, zero_order):
         mid[split] = np.where(n[:-1][split] % 2 == 0, lo[split] + theta, hi[split] - theta)
     elif split.any():
         phi_form = np.diag([-form[0, 0], 0.0, 0.0]) + np.pad(form[1:, 1:], ((1, 0), (1, 0)))
-        mid[split] = refine(secular(phi_form, l), lo[split], hi[split], phi[:-1][split], ROOT_XTOL_FACTOR / l)
+        lo_s, hi_s = lo[split], hi[split]  # phi's quadratic is G's with A00 -> -A00, A01 = A02 = 0
+        start = cell_starts(phi_form, l, lo_s, hi_s)
+        mid[split] = refine(secular(phi_form, l), lo_s, hi_s, phi[:-1][split], start, ROOT_XTOL_FACTOR / l)
     scale = np.maximum(np.abs(value[:-1]), np.abs(value[1:]))
     exact, exact_mults, *brackets = split_brackets(g, lo, hi, s_lo, s_hi, mid, scale, dims)
     return (np.concatenate((k[ends], exact)), np.concatenate((end_mults, exact_mults)), *brackets)
@@ -176,12 +207,14 @@ def split_brackets(g, lo, hi, s_lo, s_hi, mid, scale, dims):
     return mid[doublet], np.full(doublet.sum(), 2), lo, hi, side
 
 
-def solve_brackets(g, slots, l, count):
-    """The lowest ``count`` roots of g in the slots of cell_brackets, ascending, as
-    (positions, multiplicities): every bracket refined in one call.  Exact roots
-    keep the multiplicities of their slots; a bracket holds one simple root."""
+def solve_brackets(form, slots, l, count):
+    """The lowest ``count`` roots of G = u^T A u in the slots of cell_brackets,
+    ascending, as (positions, multiplicities): every bracket refined in one
+    call, each from its cell_starts.  Exact roots keep the multiplicities of
+    their slots; a bracket holds one simple root."""
     exact, exact_mults, lo, hi, side = slots
-    ks = np.concatenate((exact, refine(g, lo, hi, side, ROOT_XTOL_FACTOR / l)))
+    start = cell_starts(form, l, lo, hi)
+    ks = np.concatenate((exact, refine(secular(form, l), lo, hi, side, start, ROOT_XTOL_FACTOR / l)))
     order = np.argsort(ks)[:count]
     return ks[order], np.concatenate((exact_mults, np.ones(lo.size, dtype=int)))[order]
 
@@ -326,9 +359,11 @@ def bound_states(form):
     eigenvalue of Q lies between h_(j) + t and h_(j) + t + 2 o, h_(j) the
     j-th smallest h, and kappa - 1/L < t <= t + 2 o = kappa coth(kappa L/2)
     < kappa + 2/L, so mu_j < 0 at kappa = -h_(j) - 3/L and > 0 at
-    -h_(j) + 2/L: a bracket of width 5/L per root, all refined in one call.
-    Roots of mu_j and mu_j+1 that agree to the refiner's tolerance (each
-    within it of its own root) are one doublet.
+    -h_(j) + 2/L: a bracket of width 5/L per root, all refined in one call,
+    each from its Robin depth -h_(j) clipped into the bracket (the root once
+    K(kappa) ~ kappa I, at kappa L >> 1).  Roots of mu_j and mu_j+1 that
+    agree to the refiner's tolerance (each within it of its own root) are
+    one doublet.
     """
     h, _, length, band = form
     mu0 = branches(form, [0.0])[0, 0]
@@ -336,9 +371,10 @@ def bound_states(form):
     if not js.size:
         return np.empty(0), np.empty(0, dtype=int)
     depth, xtol = -np.sort(h)[js], ROOT_XTOL_FACTOR / length
-    hi = np.maximum(depth, 0.0) + 2.0 / length  # descending, as the roots are
+    # descending, as the roots are
+    lo, hi = np.maximum(depth - 3.0 / length, 0.0), np.maximum(depth, 0.0) + 2.0 / length
     g = lambda x, n: branches(form, x, n)[:, np.arange(js.size), js]
-    ks = np.sort(refine(g, np.maximum(depth - 3.0 / length, 0.0), hi, -np.ones(js.size), xtol))[::-1]
+    ks = np.sort(refine(g, lo, hi, -np.ones(js.size), np.clip(depth, lo, hi), xtol))[::-1]
     # each root is within refine's tolerance of its own: two within twice that are one doublet
     double = ks[:-1] - ks[1:] <= 2.0 * np.maximum(xtol, 4.0 * np.spacing(hi[:-1]))
     if np.any(double[1:] & double[:-1]):

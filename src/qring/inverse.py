@@ -45,7 +45,7 @@ from .errors import (
     NoisyTail,
     QringError,
 )
-from .engine import basis_jets, bound_states_hold, slots_hold, zero_modes
+from .engine import basis_jets, bound_states_hold, secular, slots_hold, zero_modes
 from .spectrum import bound_form, positive_brackets, secular_forms
 from .spectrum import negative_levels, positive_levels  # noqa: F401  (the benchmark's trace of invert wraps them)
 from .u2 import Geometry, SpectralTriple
@@ -380,10 +380,10 @@ def _forward_consistent(t: SpectralTriple, prefix: SpectrumPrefix, n_check: int 
     n_check = min(n_check, len(prefix.positive_k))
     delta = 1e-6 / geom.l
     try:
-        g, slots = positive_brackets(t, geom, n_check)
-        if not slots_hold(g, slots, prefix.positive_k[:n_check], delta):
-            return False
         q = bound_form(t, geom)
+        form, slots = positive_brackets(t, geom, n_check, q=q)
+        if not slots_hold(secular(form, geom.l), slots, prefix.positive_k[:n_check], delta):
+            return False
         if (zero_modes(q, 1e-8) > 0) != prefix.has_zero_mode:  # zero_mode_exists(t, geom, tol=1e-8), on q
             return False
         return bound_states_hold(q, prefix.negative_kappa, delta)

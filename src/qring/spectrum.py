@@ -242,36 +242,48 @@ class Spectrum:
         return any(lv.sector == "zero" for lv in self.levels)
 
 
-def positive_brackets(triple, geom: Geometry, count: int):
-    """(G, slots): engine.cell_brackets on the triple's form, the brackets
-    that positive_levels refines and the fit's check reads."""
+def positive_brackets(triple, geom: Geometry, count: int, *, q=None):
+    """(A, slots): the triple's secular form and engine.cell_brackets on it,
+    the brackets that positive_levels refines and the fit's check reads.
+    ``q`` is the triple's bound_form, passed by a caller that built it."""
     t = _as_triple(triple)
     rep = triple_to_matrix(t)
     dims = lambda ks: null_dims(*regular_matrix(rep, geom, ks))
     form = secular_form(t, geom)
-    return secular(form, geom.l), cell_brackets(form, geom.l, count, dims, zero_modes(bound_form(t, geom)))
+    q = bound_form(t, geom) if q is None else q
+    return form, cell_brackets(form, geom.l, count, dims, zero_modes(q))
 
 
-def positive_levels(triple: SpectralTriple, geom: Geometry, count: int) -> list[Level]:
-    """The lowest ``count`` positive levels, each from its own slot (positive_brackets)."""
-    ks, mults = solve_brackets(*positive_brackets(triple, geom, count), geom.l, count)
-    return [Level("positive", float(k), float(k) ** 2, int(m)) for k, m in zip(ks, mults)]
+def positive_levels(triple: SpectralTriple, geom: Geometry, count: int, *, q=None) -> list[Level]:
+    """The lowest ``count`` positive levels, each from its own slot
+    (positive_brackets), refined from the cell quadratic's starts
+    (engine.solve_brackets).  ``q`` as for positive_brackets."""
+    ks, mults = solve_brackets(*positive_brackets(triple, geom, count, q=q), geom.l, count)
+    return [Level("positive", k, k**2, m) for k, m in zip(ks.tolist(), mults.tolist())]
 
 
-def negative_levels(triple: SpectralTriple, geom: Geometry) -> list[Level]:
-    """All negative-energy levels (at most two), deepest first (engine.bound_states)."""
-    ks, mults = bound_states(bound_form(triple, geom))
-    return [Level("negative", float(k), -float(k) ** 2, int(m)) for k, m in zip(ks, mults)]
+def negative_levels(triple: SpectralTriple, geom: Geometry, *, q=None) -> list[Level]:
+    """All negative-energy levels (at most two), deepest first (engine.bound_states).
+    ``q`` is the triple's bound_form, passed by a caller that built it."""
+    ks, mults = bound_states(bound_form(triple, geom) if q is None else q)
+    return [Level("negative", k, -(k**2), m) for k, m in zip(ks.tolist(), mults.tolist())]
 
 
 def full_spectrum(u, geom: Geometry, count: int = 20) -> Spectrum:
-    """Negative, zero, and the lowest ``count`` positive levels of u's spectral triple, ascending."""
+    """Negative, zero, and the lowest ``count`` positive levels of u's spectral triple, ascending.
+
+    Q (bound_form) is built once and serves all three sectors: the bound
+    states, each refined from its Robin depth, the zero modes, and the zero
+    order that starts the positive cells, whose roots are refined from the
+    cell quadratic's starts.
+    """
     t = _as_triple(u)
-    levels = negative_levels(t, geom)
-    m = zero_modes(bound_form(t, geom))
+    q = bound_form(t, geom)
+    levels = negative_levels(t, geom, q=q)
+    m = zero_modes(q)
     if m:
         levels.append(Level("zero", 0.0, 0.0, m))
-    levels.extend(positive_levels(t, geom, count))
+    levels.extend(positive_levels(t, geom, count, q=q))
     return Spectrum(tuple(levels), provenance=t)
 
 

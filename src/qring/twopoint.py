@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import basis_jets, boundary_matrix, bound_states, cell_brackets, eigenphases, index_form, null_dims
-from .engine import secular, solve_brackets, zero_modes
+from .engine import solve_brackets, zero_modes
 from .errors import NotSpecialUnitary
 from .spectrum import Level, Spectrum
 from .u2 import (
@@ -188,12 +188,12 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     zero_dim = zero_modes(q)
     levels = [Level("zero", 0.0, 0.0, zero_dim)] if zero_dim else []
     ks, mults = bound_states(q)
-    levels.extend(Level("negative", float(k), -float(k) ** 2, int(m)) for k, m in zip(ks, mults))
+    levels.extend(Level("negative", k, -(k**2), m) for k, m in zip(ks.tolist(), mults.tolist()))
 
     _, form = _secular_form(sys)
     dims = lambda k: null_dims(*regular_matrix(sys, k))
-    ks, mults = solve_brackets(secular(form, geom.l), cell_brackets(form, geom.l, count, dims, zero_dim), geom.l, count)
-    levels.extend(Level("positive", float(k), float(k) ** 2, int(m)) for k, m in zip(ks, mults))
+    ks, mults = solve_brackets(form, cell_brackets(form, geom.l, count, dims, zero_dim), geom.l, count)
+    levels.extend(Level("positive", k, k**2, m) for k, m in zip(ks.tolist(), mults.tolist()))
     levels.sort(key=lambda lv: lv.energy)
     return Spectrum(tuple(levels), provenance=None, max_negative=4)
 

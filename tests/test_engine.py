@@ -4,8 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from qring import engine
-from qring.spectrum import negative_levels, positive_levels, regular_matrix
+from qring import engine, spectrum, twopoint
+from qring.spectrum import full_spectrum, negative_levels, positive_levels, regular_matrix
 from qring.twopoint import TwoPointSystem, spectrum2
 from qring.u2 import SIGMA1, Geometry, SpectralTriple, from_matrix, haar_random, spectral_triple, to_matrix, triple_to_matrix
 
@@ -66,6 +66,41 @@ class TestNegativeScanBounded:
         assert ks == pytest.approx([math.tan(0.35) / l0, math.tan(0.65) / l0], rel=1e-12)
         assert [lv.multiplicity for lv in levels] == [1, 1]
 
+
+class TestRefineStarts:
+    def test_positive_refine_takes_few_evaluations(self, monkeypatch):
+        # each positive root is refined from the root of its cell's quadratic
+        # with frozen coefficients, so the vectorized refine of a whole solve
+        # takes a few evaluator calls: 2 to 4 here for 200 levels (6 to 19 from
+        # the bracket midpoints), and 6 for the pair (9 from the midpoints)
+        calls, inside = [0], [False]
+        basis_jets, solve_brackets = engine.basis_jets, engine.solve_brackets
+
+        def jets(k, h, hyperbolic, *order):
+            if inside[0] and not hyperbolic:
+                calls[0] += 1
+            return basis_jets(k, h, hyperbolic, *order)
+
+        def solve(*args):
+            inside[0] = True
+            try:
+                return solve_brackets(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(engine, "basis_jets", jets)
+        monkeypatch.setattr(spectrum, "solve_brackets", solve)
+        monkeypatch.setattr(twopoint, "solve_brackets", solve)
+        rng = np.random.default_rng(7)
+        us = [haar_random(rng) for _ in range(4)]
+        for l0 in (0.03, 1.0, 30.0):
+            for u in us:
+                calls[0] = 0
+                full_spectrum(u, Geometry(1.0, l0), 200)
+                assert 1 <= calls[0] <= 5, (l0, calls[0])
+        calls[0] = 0
+        spectrum2(TwoPointSystem(us[0], us[1], GEOM), 20)
+        assert 1 <= calls[0] <= 7
 
 class TestRankRule:
     def test_null_dims_of_one_window(self):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -188,6 +189,23 @@ class TestPositiveLevels:
         assert ks[2] == pytest.approx(2 * math.pi + split, abs=1e-9)
         assert all(lv.multiplicity == 1 for lv in levels)
 
+
+    @pytest.mark.parametrize("seed", [1001, 1006, 1013, 1015])
+    def test_levels_match_40_digit_roots(self, seed):
+        # every level, from the lowest cell up, against the root of the
+        # closed-form G next to it, at 40 digits from the same float triple;
+        # the bound is the previous refiner's worst here (3.6e-15, the lowest
+        # level of seed 1013 at L0/l = 0.03) rounded up
+        t = spectral_triple(haar_random(np.random.default_rng(seed)))
+        xi, a_r, b_i = mp.mpf(t.xi), mp.mpf(t.alpha_r), mp.mpf(t.beta_i)
+        with mp.workdps(40):
+            for l0 in (0.03, 1.0, 30.0):
+                m = mp.mpf(l0)
+                g = lambda k: b_i + mp.sin(xi) * mp.cos(k) + ((mp.cos(xi) - a_r) + (mp.cos(xi) + a_r) * (k * m) ** 2) * mp.sin(k) / (2 * k * m)
+                for lv in positive_levels(t, Geometry(1.0, l0), 40):
+                    k = mp.mpf(lv.wavenumber)
+                    root = mp.findroot(g, (k, k * (1 + mp.mpf(10) ** -12)), solver="secant")
+                    assert abs(k - root) <= 5e-15 * root, (l0, lv.wavenumber)
 
 def locus_doublets():
     """Triples on the degeneracy locus with a doublet inside a cell, and its k.
