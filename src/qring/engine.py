@@ -17,7 +17,8 @@ A and their boundary matrices, and this module
   from the root of its cell's quadratic in tan(kl/2) (cell_starts,
   solve_brackets), or tests data against them (slots_hold);
 * decides the levels at E <= 0 from the ordered eigenvalues of one matrix
-  Q(kappa) on the boundary values (index_form, bound_states);
+  Q(kappa) on the boundary values: the bound states and the zero modes from
+  one reading of them at kappa = 0 (index_form, bound_and_zero_states);
 * reads the multiplicity of an exact positive root off its boundary matrix
   (null_dims); a bracketed root is simple.
 
@@ -212,11 +213,13 @@ def solve_brackets(form, slots, l, count):
     ascending, as (positions, multiplicities): every bracket refined in one
     call, each from its cell_starts.  Exact roots keep the multiplicities of
     their slots; a bracket holds one simple root."""
-    exact, exact_mults, lo, hi, side = slots
-    start = cell_starts(form, l, lo, hi)
-    ks = np.concatenate((exact, refine(secular(form, l), lo, hi, side, start, ROOT_XTOL_FACTOR / l)))
+    ks, mults, lo, hi, side = slots
+    if lo.size:  # none where every level is exact: Dirichlet, Neumann, pinned U, +-exchange
+        start = cell_starts(form, l, lo, hi)
+        ks = np.concatenate((ks, refine(secular(form, l), lo, hi, side, start, ROOT_XTOL_FACTOR / l)))
+        mults = np.concatenate((mults, np.ones(lo.size, dtype=int)))
     order = np.argsort(ks)[:count]
-    return ks[order], np.concatenate((exact_mults, np.ones(lo.size, dtype=int)))[order]
+    return ks[order], mults[order]
 
 
 def slots_hold(g, slots, data, delta):
@@ -352,24 +355,32 @@ def zero_modes(form, tol: float = ZERO_MODE_TOL) -> int:
 
 
 def bound_states(form):
-    """The bound states of Q, deepest first, as (wavenumbers, multiplicities).
+    """The bound states of Q, deepest first, as (wavenumbers, multiplicities) (bound_and_zero_states)."""
+    return bound_and_zero_states(form)[:2]
 
-    There are as many as mu_j(0) below the zero modes' band, and the j-th
-    deepest is the one root of mu_j.  By Weyl's inequalities the j-th
-    eigenvalue of Q lies between h_(j) + t and h_(j) + t + 2 o, h_(j) the
-    j-th smallest h, and kappa - 1/L < t <= t + 2 o = kappa coth(kappa L/2)
-    < kappa + 2/L, so mu_j < 0 at kappa = -h_(j) - 3/L and > 0 at
-    -h_(j) + 2/L: a bracket of width 5/L per root, all refined in one call,
-    each from its Robin depth -h_(j) clipped into the bracket (the root once
-    K(kappa) ~ kappa I, at kappa L >> 1).  Roots of mu_j and mu_j+1 that
-    agree to the refiner's tolerance (each within it of its own root) are
-    one doublet.
+
+def bound_and_zero_states(form):
+    """The levels of Q at E <= 0 from one evaluation of its branches at
+    kappa = 0: the bound states, deepest first, as (wavenumbers,
+    multiplicities), and the multiplicity of E = 0, as zero_modes gives it
+    at ZERO_MODE_TOL.  The solvers call it once per solve.
+
+    There are as many bound states as mu_j(0) below the zero modes' band,
+    and the j-th deepest is the one root of mu_j.  By Weyl's inequalities
+    the j-th eigenvalue of Q lies between h_(j) + t and h_(j) + t + 2 o,
+    h_(j) the j-th smallest h, and
+    kappa - 1/L < t <= t + 2 o = kappa coth(kappa L/2) < kappa + 2/L, so
+    mu_j < 0 at kappa = -h_(j) - 3/L and > 0 at -h_(j) + 2/L: a bracket of
+    width 5/L per root, all refined in one call, each from its Robin depth
+    -h_(j) clipped into the bracket (the root once K(kappa) ~ kappa I, at
+    kappa L >> 1).  Roots of mu_j and mu_j+1 that agree to the refiner's
+    tolerance (each within it of its own root) are one doublet.
     """
     h, _, length, band = form
-    mu0 = branches(form, [0.0])[0, 0]
-    js = np.nonzero(mu0 < -ZERO_MODE_TOL * band)[0]
+    mu0, band = branches(form, [0.0])[0, 0], ZERO_MODE_TOL * band
+    zero, js = int(np.sum(np.abs(mu0) <= band)), np.nonzero(mu0 < -band)[0]
     if not js.size:
-        return np.empty(0), np.empty(0, dtype=int)
+        return np.empty(0), np.empty(0, dtype=int), zero
     depth, xtol = -np.sort(h)[js], ROOT_XTOL_FACTOR / length
     # descending, as the roots are
     lo, hi = np.maximum(depth - 3.0 / length, 0.0), np.maximum(depth, 0.0) + 2.0 / length
@@ -380,7 +391,7 @@ def bound_states(form):
     if np.any(double[1:] & double[:-1]):
         raise InternalInvariant(f"three bound states within the refiner's tolerance of {ks[0]}")
     keep = ~np.r_[False, double]
-    return ks[keep], 1 + np.r_[double, False][keep]
+    return ks[keep], 1 + np.r_[double, False][keep], zero
 
 
 def bound_states_hold(form, data, delta) -> bool:

@@ -69,21 +69,15 @@ def spectrum_to_csv(spec: Spectrum) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SPECTRUM_FIELDS)
-    for i, lv in enumerate(spec):
-        writer.writerow([i, lv.sector, repr(lv.wavenumber), repr(lv.energy), lv.multiplicity])
+    for i, (sector, k, energy, mult) in enumerate(spec.rows()):
+        writer.writerow([i, sector, repr(k), repr(energy), mult])
     return buf.getvalue()
 
 
 def spectrum_to_json(spec: Spectrum) -> str:
     levels = [
-        {
-            "index": i,
-            "sector": lv.sector,
-            "wavenumber": lv.wavenumber,
-            "energy": lv.energy,
-            "multiplicity": lv.multiplicity,
-        }
-        for i, lv in enumerate(spec)
+        {"index": i, "sector": sector, "wavenumber": k, "energy": energy, "multiplicity": mult}
+        for i, (sector, k, energy, mult) in enumerate(spec.rows())
     ]
     return json.dumps({"levels": levels}, sort_keys=True, indent=2) + "\n"
 

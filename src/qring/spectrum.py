@@ -28,13 +28,15 @@ Units: hbar^2/2m = 1, so energies are k^2 (or -kappa^2) with k in 1/length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .engine import (
     ZERO_MODE_TOL,
     basis_jets,
+    bound_and_zero_states,
     bound_states,
     boundary_matrix,
     cell_brackets,
@@ -183,6 +185,9 @@ def regular_matrix(u: CharacteristicMatrix, geom: Geometry, k, hyperbolic: bool 
 # levels and spectra
 
 
+SECTORS = ("negative", "zero", "positive")
+
+
 @dataclass(frozen=True)
 class Level:
     """One energy level: sector, wavenumber (k, kappa, or 0), energy, multiplicity."""
@@ -193,53 +198,104 @@ class Level:
     multiplicity: int
 
     def __post_init__(self):
-        if self.sector not in ("negative", "zero", "positive"):
+        if self.sector not in SECTORS:
             raise ValueError(f"unknown sector {self.sector!r}")
         if self.multiplicity not in (1, 2):
             raise ValueError(f"multiplicity must be 1 or 2, got {self.multiplicity}")
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """Levels in ascending energy order, with the spectral triple they came from.
 
-    ``max_negative`` is 2 for one singularity; a pair of singularities can
-    bind up to two levels each.
+    Held as four arrays, checked vectorized: sector codes (indices into
+    SECTORS), wavenumbers, energies and multiplicities.  ``levels``, the same
+    levels as a tuple of Level, is built on first use; iteration, ``==``,
+    ``hash`` and ``repr`` go through it.  ``max_negative`` is 2 for one
+    singularity; a pair of singularities can bind up to two levels each.
     """
 
-    levels: tuple[Level, ...]
-    provenance: SpectralTriple | None = None
-    max_negative: int = 2
+    def __init__(self, levels, provenance: SpectralTriple | None = None, max_negative: int = 2):
+        levels = vars(self)["levels"] = tuple(levels)  # the cached property, filled
+        rows = [(SECTORS.index(lv.sector), lv.wavenumber, lv.energy, lv.multiplicity) for lv in levels]
+        self._set(*np.array(rows, dtype=float).reshape(-1, 4).T, provenance, max_negative)
 
-    def __post_init__(self):
-        energies = [lv.energy for lv in self.levels]
-        if any(b <= a for a, b in zip(energies, energies[1:])):
+    @classmethod
+    def from_arrays(cls, sectors, wavenumbers, multiplicities, provenance=None, max_negative: int = 2):
+        """The levels given as arrays of sector codes, wavenumbers and multiplicities.
+        Each energy is Python's k ** 2 (negated in the negative sector), as the
+        Levels of positive_levels hold it: NumPy's ks ** 2 is k * k, an ulp off for some k."""
+        sectors, wavenumbers = np.asarray(sectors, dtype=int), np.asarray(wavenumbers, dtype=float)
+        energies = np.array([k**2 for k in wavenumbers.tolist()])
+        np.negative(energies, out=energies, where=sectors == 0)
+        spec = cls.__new__(cls)
+        spec._set(sectors, wavenumbers, energies, multiplicities, provenance, max_negative)
+        return spec
+
+    @classmethod
+    def from_sectors(cls, bound, zero: int, positive, provenance=None, max_negative: int = 2):
+        """from_arrays of a solver's levels: ``bound`` (deepest first) and ``positive``
+        (ascending) as (wavenumbers, multiplicities), ``zero`` the zero modes' multiplicity."""
+        (kb, mb), (kp, mp), nz = bound, positive, int(zero > 0)
+        ks, mults = np.concatenate((kb, np.zeros(nz), kp)), np.concatenate((mb, np.full(nz, zero), mp))
+        return cls.from_arrays(np.repeat([0, 1, 2], (kb.size, nz, kp.size)), ks, mults, provenance, max_negative)
+
+    def _set(self, sectors, wavenumbers, energies, multiplicities, provenance, max_negative):
+        s, m = np.asarray(sectors, dtype=int), np.asarray(multiplicities, dtype=int)
+        vars(self).update(_sectors=s, _wavenumbers=wavenumbers, _energies=energies, _multiplicities=m)
+        vars(self).update(provenance=provenance, max_negative=max_negative)
+        if not np.all((s >= 0) & (s <= 2) & ((m == 1) | (m == 2))):
+            raise ValueError("sector codes must be 0, 1 or 2 and multiplicities 1 or 2")
+        if np.any(energies[1:] <= energies[:-1]):
             raise InternalInvariant("spectrum energies are not strictly increasing")
-        if sum(1 for lv in self.levels if lv.sector == "negative") > self.max_negative:
-            raise InternalInvariant(f"more than {self.max_negative} negative levels")
-        if sum(1 for lv in self.levels if lv.sector == "zero") > 1:
+        if np.count_nonzero(s == 0) > max_negative:
+            raise InternalInvariant(f"more than {max_negative} negative levels")
+        if np.count_nonzero(s == 1) > 1:
             raise InternalInvariant("more than one zero level")
+
+    @cached_property
+    def levels(self) -> tuple[Level, ...]:
+        return tuple(Level(*row) for row in self.rows())
+
+    def rows(self):
+        """(sector, wavenumber, energy, multiplicity) of each level, as Python values read off the arrays."""
+        sectors = [SECTORS[s] for s in self._sectors.tolist()]
+        return zip(sectors, self._wavenumbers.tolist(), self._energies.tolist(), self._multiplicities.tolist())
+
+    def __setattr__(self, name, value):  # immutable, as its hash requires
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def _key(self):
+        return self.levels, self.provenance, self.max_negative
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Spectrum(levels={self.levels!r}, provenance={self.provenance!r}, max_negative={self.max_negative!r})"
 
     def __iter__(self):
         return iter(self.levels)
 
     def __len__(self):
-        return len(self.levels)
+        return self._sectors.size
 
     def energies(self) -> np.ndarray:
-        return np.array([lv.energy for lv in self.levels])
+        return self._energies.copy()
 
     def multiplicities(self) -> np.ndarray:
-        return np.array([lv.multiplicity for lv in self.levels])
+        return self._multiplicities.copy()
 
     def positive_wavenumbers(self) -> np.ndarray:
-        return np.array([lv.wavenumber for lv in self.levels if lv.sector == "positive"])
+        return self._wavenumbers[self._sectors == 2]
 
     def negative_wavenumbers(self) -> np.ndarray:
-        return np.array([lv.wavenumber for lv in self.levels if lv.sector == "negative"])
+        return self._wavenumbers[self._sectors == 0]
 
     def has_zero_mode(self) -> bool:
-        return any(lv.sector == "zero" for lv in self.levels)
+        return bool(np.any(self._sectors == 1))
 
 
 def positive_brackets(triple, geom: Geometry, count: int, *, q=None):
@@ -247,11 +303,15 @@ def positive_brackets(triple, geom: Geometry, count: int, *, q=None):
     the brackets that positive_levels refines and the fit's check reads.
     ``q`` is the triple's bound_form, passed by a caller that built it."""
     t = _as_triple(triple)
+    return _positive_slots(t, geom, count, zero_modes(bound_form(t, geom) if q is None else q))
+
+
+def _positive_slots(t: SpectralTriple, geom: Geometry, count: int, zero_order: int):
+    """positive_brackets, for a caller that knows the zero modes' multiplicity."""
     rep = triple_to_matrix(t)
     dims = lambda ks: null_dims(*regular_matrix(rep, geom, ks))
     form = secular_form(t, geom)
-    q = bound_form(t, geom) if q is None else q
-    return form, cell_brackets(form, geom.l, count, dims, zero_modes(q))
+    return form, cell_brackets(form, geom.l, count, dims, zero_order)
 
 
 def positive_levels(triple: SpectralTriple, geom: Geometry, count: int, *, q=None) -> list[Level]:
@@ -272,19 +332,16 @@ def negative_levels(triple: SpectralTriple, geom: Geometry, *, q=None) -> list[L
 def full_spectrum(u, geom: Geometry, count: int = 20) -> Spectrum:
     """Negative, zero, and the lowest ``count`` positive levels of u's spectral triple, ascending.
 
-    Q (bound_form) is built once and serves all three sectors: the bound
-    states, each refined from its Robin depth, the zero modes, and the zero
-    order that starts the positive cells, whose roots are refined from the
-    cell quadratic's starts.
+    Q (bound_form) is built once and its branches read once at kappa = 0
+    (engine.bound_and_zero_states): the bound states, each refined from its
+    Robin depth, and the zero modes, whose order starts the positive cells,
+    whose roots are refined from the cell quadratic's starts.  The levels
+    pass to the Spectrum as arrays.
     """
     t = _as_triple(u)
-    q = bound_form(t, geom)
-    levels = negative_levels(t, geom, q=q)
-    m = zero_modes(q)
-    if m:
-        levels.append(Level("zero", 0.0, 0.0, m))
-    levels.extend(positive_levels(t, geom, count, q=q))
-    return Spectrum(tuple(levels), provenance=t)
+    ks, mults, zero = bound_and_zero_states(bound_form(t, geom))
+    positive = solve_brackets(*_positive_slots(t, geom, count, zero), geom.l, count)
+    return Spectrum.from_sectors((ks, mults), zero, positive, provenance=t)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import basis_jets, boundary_matrix, bound_states, cell_brackets, eigenphases, index_form, null_dims
-from .engine import solve_brackets, zero_modes
+from .engine import basis_jets, boundary_matrix, bound_and_zero_states, cell_brackets, eigenphases, index_form
+from .engine import null_dims, solve_brackets
 from .errors import NotSpecialUnitary
-from .spectrum import Level, Spectrum
+from .spectrum import Spectrum
 from .u2 import (
     SIGMA3,
     CharacteristicMatrix,
@@ -181,21 +181,15 @@ def spectrum2(sys: TwoPointSystem, count: int = 20) -> Spectrum:
     positive levels are roots of the closed-form real secular function
     (_secular_form), one per slot of the engine's cells: a bracketed root is
     simple, and a root known exactly takes the null dimension of the
-    boundary matrix.
+    boundary matrix.  The levels pass to the Spectrum as arrays.
     """
     geom = sys.geometry
     q = index_form([sys.u1, from_matrix(to_matrix(sys.u2).conj().T)], geom.l0, 0.5 * geom.l, [2, 3, 0, 1])
-    zero_dim = zero_modes(q)
-    levels = [Level("zero", 0.0, 0.0, zero_dim)] if zero_dim else []
-    ks, mults = bound_states(q)
-    levels.extend(Level("negative", k, -(k**2), m) for k, m in zip(ks.tolist(), mults.tolist()))
-
+    ks, mults, zero = bound_and_zero_states(q)
     _, form = _secular_form(sys)
     dims = lambda k: null_dims(*regular_matrix(sys, k))
-    ks, mults = solve_brackets(form, cell_brackets(form, geom.l, count, dims, zero_dim), geom.l, count)
-    levels.extend(Level("positive", k, k**2, m) for k, m in zip(ks.tolist(), mults.tolist()))
-    levels.sort(key=lambda lv: lv.energy)
-    return Spectrum(tuple(levels), provenance=None, max_negative=4)
+    positive = solve_brackets(form, cell_brackets(form, geom.l, count, dims, zero), geom.l, count)
+    return Spectrum.from_sectors((ks, mults), zero, positive, max_negative=4)
 
 
 def conjugate_pair(sys: TwoPointSystem, v, tol: float = 1e-10) -> TwoPointSystem:

@@ -11,8 +11,8 @@ import qring
 from qring import cli
 from qring.cli import main
 from qring.io import levels_from_text, spectrum_to_csv, spectrum_to_json, u_from_json
-from qring.spectrum import full_spectrum
-from qring.u2 import Geometry, from_matrix
+from qring.spectrum import Level, full_spectrum
+from qring.u2 import Geometry, from_matrix, haar_random, to_matrix
 
 EXCHANGE_JSON = '{"xi": 1.5707963267948966, "alpha": [0, 0], "beta": [0, -1]}'
 MINUS_ID_JSON = '{"matrix": [[[-1, 0], [0, 0]], [[0, 0], [-1, 0]]]}'
@@ -55,6 +55,32 @@ class TestSpectrumCommand:
             assert a.sector == b.sector
             assert a.wavenumber == b.wavenumber  # repr round-trip is lossless
             assert a.multiplicity == b.multiplicity
+
+    def test_energies_are_python_squares_of_the_written_wavenumbers(self, capsys):
+        rng = np.random.default_rng(21)
+        for l0 in (0.05, 1.0, 20.0):
+            matrix = [[[z.real, z.imag] for z in row] for row in to_matrix(haar_random(rng)).tolist()]
+            geometry = json.dumps({"l": 1.0, "L0": l0})
+            argv = ("spectrum", "--u", json.dumps({"matrix": matrix}), "--geometry", geometry, "--levels", "200")
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            for row in out.strip().splitlines()[1:]:
+                _, sector, w, energy, _ = row.split(",")
+                assert energy == repr(-(float(w) ** 2) if sector == "negative" else float(w) ** 2)
+
+    def test_handler_builds_no_level(self, capsys, monkeypatch):
+        built = [0]
+        check = Level.__post_init__
+
+        def counted(self):
+            built[0] += 1
+            check(self)
+
+        monkeypatch.setattr(Level, "__post_init__", counted)
+        for fmt in ("--csv", "--json"):
+            code, out, _ = run_cli(capsys, "spectrum", "--u", EXCHANGE_JSON, "--levels", "200", fmt)
+            assert code == 0 and out.count("positive") == 200
+        assert built[0] == 0
 
 
 class TestClassifyCommand:

@@ -4,9 +4,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qring.engine import secular
-from qring.errors import NotSusyCase
+from qring.engine import secular, zero_modes
+from qring.errors import InternalInvariant, NotSusyCase
 from qring.spectrum import (
+    Level,
+    Spectrum,
+    bound_form,
     boundary_residual,
     degeneracy_at,
     eigenfunction,
@@ -361,6 +364,110 @@ class TestFullSpectrum:
             report = degeneracy_at(u, GEOM)
             if report.full_doublet_sign is None:
                 assert len(degenerate) <= 1
+
+
+def level_loop_accessors(levels):
+    """energies(), multiplicities(), positive_wavenumbers(), negative_wavenumbers()
+    and has_zero_mode() as loops over Levels, the reference for the arrays."""
+    return (
+        np.array([lv.energy for lv in levels]),
+        np.array([lv.multiplicity for lv in levels]),
+        np.array([lv.wavenumber for lv in levels if lv.sector == "positive"]),
+        np.array([lv.wavenumber for lv in levels if lv.sector == "negative"]),
+        any(lv.sector == "zero" for lv in levels),
+    )
+
+
+def seeded_spectra():
+    """(solver output, its levels built one Level at a time) for seeded Haar
+    circles, Haar pairs and (Haar U, exchange), and the exchange circle."""
+    rng = np.random.default_rng(11)
+    for l0 in (0.05, 1.0, 20.0, None):
+        u, geom = (EXCHANGE, GEOM) if l0 is None else (haar_random(rng), Geometry(1.0, l0))
+        t = spectral_triple(u)
+        m = zero_modes(bound_form(t, geom))
+        zero = [Level("zero", 0.0, 0.0, m)] if m else []
+        levels = negative_levels(t, geom) + zero + positive_levels(t, geom, 200)
+        yield full_spectrum(t, geom, 200), levels
+        for u2 in (haar_random(rng), EXCHANGE):
+            spec = spectrum2(TwoPointSystem(haar_random(rng), u2, geom), 20)
+            yield spec, [Level(lv.sector, lv.wavenumber, lv.energy, lv.multiplicity) for lv in spec]
+
+
+class TestSpectrumArrays:
+    @pytest.mark.parametrize(
+        "sectors, ks, mults, max_negative, message",
+        [
+            ([2, 2], [2.0, 1.0], [1, 1], 2, "spectrum energies are not strictly increasing"),
+            ([0, 0, 0], [3.0, 2.0, 1.0], [1, 1, 1], 2, "more than 2 negative levels"),
+            ([0, 0, 0, 0, 0], [5.0, 4.0, 3.0, 2.0, 1.0], [1] * 5, 4, "more than 4 negative levels"),
+            ([1, 1], [0.0, 1.0], [1, 1], 2, "more than one zero level"),
+        ],
+    )
+    def test_both_constructions_raise_alike(self, sectors, ks, mults, max_negative, message):
+        names = ("negative", "zero", "positive")
+        levels = [Level(names[s], k, -(k**2) if s == 0 else k**2, m) for s, k, m in zip(sectors, ks, mults)]
+        with pytest.raises(InternalInvariant) as from_levels:
+            Spectrum(levels, max_negative=max_negative)
+        with pytest.raises(InternalInvariant) as from_arrays:
+            Spectrum.from_arrays(np.array(sectors), np.array(ks), np.array(mults), max_negative=max_negative)
+        assert str(from_levels.value) == str(from_arrays.value) == message
+
+    def test_multiplicity_out_of_range_raises_value_error(self):
+        with pytest.raises(ValueError):
+            Level("zero", 0.0, 0.0, 3)
+        with pytest.raises(ValueError):
+            Spectrum.from_arrays([1], [0.0], [3])
+
+    def test_both_constructions_agree(self):
+        for spec, levels in seeded_spectra():
+            other = Spectrum(levels, provenance=spec.provenance, max_negative=spec.max_negative)
+            assert spec.levels == other.levels == tuple(levels)
+            assert spec == other and hash(spec) == hash(other) and repr(spec) == repr(other)
+            assert len(spec) == len(other) == len(levels) and list(spec) == list(other)
+            reference = level_loop_accessors(levels)
+            for s in (spec, other):
+                got = (s.energies(), s.multiplicities(), s.positive_wavenumbers(), s.negative_wavenumbers())
+                for a, b in zip(got, reference):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert s.has_zero_mode() == reference[4]
+            # the accessors hand out fresh arrays
+            spec.energies()[:] = 0.0
+            assert spec.energies().tobytes() == reference[0].tobytes()
+
+    def test_energies_are_python_squares(self):
+        # Python's k ** 2 (libm pow) and NumPy's ks ** 2 (k * k) differ in the
+        # last bit for some k; the solvers' energies are the former, as Level held them
+        assert 4.96083390683303**2 != float((np.array([4.96083390683303]) ** 2)[0])
+        spec = Spectrum.from_arrays([0, 2], [4.96083390683303, 4.96083390683303], [1, 1])
+        assert spec.energies().tolist() == [-24.609873051184266, 24.609873051184266]
+        numpy_differs = False
+        for spec, _ in seeded_spectra():
+            ks = [lv.wavenumber for lv in spec]
+            signs = [-1.0 if lv.sector == "negative" else 1.0 for lv in spec]
+            assert spec.energies().tolist() == [s * k**2 for s, k in zip(signs, ks)]
+            numpy_differs |= bool(np.any(spec.energies() != np.array(signs) * np.array(ks) ** 2))
+        assert numpy_differs
+        rng = np.random.default_rng(6)  # a pair whose levels hold k = 38.002492807524305
+        spec = spectrum2(TwoPointSystem(haar_random(rng), haar_random(rng), Geometry(1.0, 0.5)), 20)
+        ks = spec.positive_wavenumbers()
+        assert 38.002492807524305 in ks.tolist()
+        assert spec.energies()[-ks.size :].tolist() == [k**2 for k in ks.tolist()] != (ks**2).tolist()
+
+    def test_solvers_build_no_level(self, monkeypatch):
+        built = [0]
+        check = Level.__post_init__
+
+        def counted(self):
+            built[0] += 1
+            check(self)
+
+        monkeypatch.setattr(Level, "__post_init__", counted)
+        rng = np.random.default_rng(12)
+        one = full_spectrum(haar_random(rng), Geometry(1.0, 0.3), 200)
+        pair = spectrum2(TwoPointSystem(haar_random(rng), haar_random(rng), GEOM), 20)
+        assert built[0] == 0
+        assert len(one.levels) + len(pair.levels) == built[0]
 
 
 class TestDegeneracyAt:
