@@ -332,11 +332,11 @@ def negative_levels(triple: SpectralTriple, geom: Geometry, *, q=None) -> list[L
 def full_spectrum(u, geom: Geometry, count: int = 20) -> Spectrum:
     """Negative, zero, and the lowest ``count`` positive levels of u's spectral triple, ascending.
 
-    Q (bound_form) is built once and its branches read once at kappa = 0
-    (engine.bound_and_zero_states): the bound states, each refined from its
-    Robin depth, and the zero modes, whose order starts the positive cells,
-    whose roots are refined from the cell quadratic's starts.  The levels
-    pass to the Spectrum as arrays.
+    Q (bound_form) is built once, and one reading of its branches at
+    kappa = 0 gives the bound states, each refined from its Robin depth, and
+    the zero modes (engine.bound_and_zero_states), whose order starts the
+    positive cells.  Their roots are refined from the cell quadratic's
+    starts.  The levels pass to the Spectrum as arrays.
     """
     t = _as_triple(u)
     ks, mults, zero = bound_and_zero_states(bound_form(t, geom))

@@ -11,7 +11,7 @@ import qring
 from qring import cli
 from qring.cli import main
 from qring.io import levels_from_text, spectrum_to_csv, spectrum_to_json, u_from_json
-from qring.spectrum import Level, full_spectrum
+from qring.spectrum import full_spectrum
 from qring.u2 import Geometry, from_matrix, haar_random, to_matrix
 
 EXCHANGE_JSON = '{"xi": 1.5707963267948966, "alpha": [0, 0], "beta": [0, -1]}'
@@ -67,20 +67,6 @@ class TestSpectrumCommand:
             for row in out.strip().splitlines()[1:]:
                 _, sector, w, energy, _ = row.split(",")
                 assert energy == repr(-(float(w) ** 2) if sector == "negative" else float(w) ** 2)
-
-    def test_handler_builds_no_level(self, capsys, monkeypatch):
-        built = [0]
-        check = Level.__post_init__
-
-        def counted(self):
-            built[0] += 1
-            check(self)
-
-        monkeypatch.setattr(Level, "__post_init__", counted)
-        for fmt in ("--csv", "--json"):
-            code, out, _ = run_cli(capsys, "spectrum", "--u", EXCHANGE_JSON, "--levels", "200", fmt)
-            assert code == 0 and out.count("positive") == 200
-        assert built[0] == 0
 
 
 class TestClassifyCommand:

@@ -4,9 +4,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from qring import cli
 from qring.engine import secular, zero_modes
 from qring.errors import InternalInvariant, NotSusyCase
 from qring.spectrum import (
+    SECTORS,
     Level,
     Spectrum,
     bound_form,
@@ -405,8 +407,7 @@ class TestSpectrumArrays:
         ],
     )
     def test_both_constructions_raise_alike(self, sectors, ks, mults, max_negative, message):
-        names = ("negative", "zero", "positive")
-        levels = [Level(names[s], k, -(k**2) if s == 0 else k**2, m) for s, k, m in zip(sectors, ks, mults)]
+        levels = [Level(SECTORS[s], k, -(k**2) if s == 0 else k**2, m) for s, k, m in zip(sectors, ks, mults)]
         with pytest.raises(InternalInvariant) as from_levels:
             Spectrum(levels, max_negative=max_negative)
         with pytest.raises(InternalInvariant) as from_arrays:
@@ -437,7 +438,8 @@ class TestSpectrumArrays:
 
     def test_energies_are_python_squares(self):
         # Python's k ** 2 (libm pow) and NumPy's ks ** 2 (k * k) differ in the
-        # last bit for some k; the solvers' energies are the former, as Level held them
+        # last bit for some k; the solvers' energies are the former, as in the
+        # Levels of positive_levels and in the CLI's bytes
         assert 4.96083390683303**2 != float((np.array([4.96083390683303]) ** 2)[0])
         spec = Spectrum.from_arrays([0, 2], [4.96083390683303, 4.96083390683303], [1, 1])
         assert spec.energies().tolist() == [-24.609873051184266, 24.609873051184266]
@@ -454,7 +456,7 @@ class TestSpectrumArrays:
         assert 38.002492807524305 in ks.tolist()
         assert spec.energies()[-ks.size :].tolist() == [k**2 for k in ks.tolist()] != (ks**2).tolist()
 
-    def test_solvers_build_no_level(self, monkeypatch):
+    def test_solvers_and_writers_build_no_level(self, monkeypatch, capsys):
         built = [0]
         check = Level.__post_init__
 
@@ -466,6 +468,10 @@ class TestSpectrumArrays:
         rng = np.random.default_rng(12)
         one = full_spectrum(haar_random(rng), Geometry(1.0, 0.3), 200)
         pair = spectrum2(TwoPointSystem(haar_random(rng), haar_random(rng), GEOM), 20)
+        exchange = '{"xi": 1.5707963267948966, "alpha": [0, 0], "beta": [0, -1]}'
+        for fmt in ("--csv", "--json"):  # the CLI handler with its writer
+            assert cli.main(["spectrum", "--u", exchange, "--levels", "200", fmt]) == 0
+            assert capsys.readouterr().out.count("positive") == 200
         assert built[0] == 0
         assert len(one.levels) + len(pair.levels) == built[0]
 
